@@ -296,16 +296,12 @@ class JsonReport {
         start_(std::chrono::steady_clock::now()) {}
 
   void add(const std::string& key, double value, int decimals = 4) {
-    // %.*f renders non-finite doubles as `nan` / `inf` — bare words that
-    // are not JSON. A NaN latency or a divide-by-zero rate must degrade to
-    // a parseable record, not break every downstream consumer.
-    if (!std::isfinite(value)) {
-      entries_.emplace_back(key, "null");
-      return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
-    entries_.emplace_back(key, buf);
+    add_number(key, value, decimals, false);
+  }
+  /// `digits` significant digits instead of fixed decimals: for rates
+  /// whose magnitude varies by machine and must never round to zero.
+  void add_sig(const std::string& key, double value, int digits = 3) {
+    add_number(key, value, digits, true);
   }
   void add(const std::string& key, std::size_t value) {
     entries_.emplace_back(key, std::to_string(value));
@@ -398,6 +394,21 @@ class JsonReport {
   }
 
  private:
+  void add_number(const std::string& key, double value, int precision,
+                  bool significant) {
+    // %f / %g render non-finite doubles as `nan` / `inf` — bare words that
+    // are not JSON. A NaN latency or a divide-by-zero rate must degrade to
+    // a parseable record, not break every downstream consumer.
+    if (!std::isfinite(value)) {
+      entries_.emplace_back(key, "null");
+      return;
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof buf, significant ? "%.*g" : "%.*f", precision,
+                  value);
+    entries_.emplace_back(key, buf);
+  }
+
   std::string bench_;
   BenchArgs args_;
   std::chrono::steady_clock::time_point start_;

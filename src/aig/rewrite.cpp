@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <mutex>
 #include <unordered_map>
 
 namespace orap::aig {
@@ -265,7 +266,15 @@ class FuncSynthT {
 using FuncSynth = FuncSynthT<std::uint16_t, 4>;
 using ConeSynth = FuncSynthT<std::uint64_t, 6>;
 
-// Thread-unsafe but cheap: one shared memo across passes.
+// One shared memo across passes and callers, so every resynthesis meets
+// the warm tables. The public entry points that touch it hold
+// synth_mutex() for their whole call; it is recursive because
+// resynthesize() calls the passes.
+std::recursive_mutex& synth_mutex() {
+  static std::recursive_mutex m;
+  return m;
+}
+
 FuncSynth& func_synth() {
   static FuncSynth s;
   return s;
@@ -362,6 +371,7 @@ std::uint32_t dying_interior(const Aig& in,
 }  // namespace
 
 Aig rewrite_pass(const Aig& in, const RewriteOptions& opts) {
+  const std::lock_guard<std::recursive_mutex> lock(synth_mutex());
   const auto cuts = enumerate_cuts(in, opts.cuts_per_node);
   const auto fanout = in.fanout_counts();
   FuncSynth& fs = func_synth();
@@ -418,6 +428,7 @@ Aig rewrite_pass(const Aig& in, const RewriteOptions& opts) {
 }
 
 Aig refactor_pass(const Aig& in) {
+  const std::lock_guard<std::recursive_mutex> lock(synth_mutex());
   const auto fanout = in.fanout_counts();
   ConeSynth& cs = cone_synth();
 
@@ -570,6 +581,7 @@ Aig balance(const Aig& in) {
 }
 
 Aig resynthesize(const Aig& in, const RewriteOptions& opts) {
+  const std::lock_guard<std::recursive_mutex> lock(synth_mutex());
   Aig cur = in.cleanup();  // strash-style dedup + dead-node sweep
   if (opts.balance) cur = balance(cur);
   // A pass that does not shrink the AIG can still canonicalize structures

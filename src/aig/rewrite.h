@@ -4,6 +4,11 @@
 // cost probing against the structural hash, and level-driven AND-tree
 // balancing. `resynthesize` chains them the way the paper runs ABC
 // (strash → refactor → rewrite) before measuring area/delay overhead.
+//
+// The synthesizer's memo is process-wide and shared by every call, so the
+// functions here are safe to call from several threads: `rewrite_pass`,
+// `refactor_pass` and `resynthesize` hold one lock for their whole call,
+// and concurrent resyntheses run one at a time.
 
 #include <cstdint>
 

@@ -9,49 +9,146 @@ namespace orap {
 
 namespace {
 
-/// Gates in the transitive fanout of the fault site (including the site).
-std::vector<bool> fanout_cone(const Netlist& n, GateId site) {
-  std::vector<bool> affected(n.num_gates(), false);
-  affected[site] = true;
-  for (GateId g = site + 1; g < n.num_gates(); ++g) {
-    for (const GateId f : n.fanins(g)) {
-      if (affected[f]) {
-        affected[g] = true;
+/// Where a fault sits. `affected` is the site's transitive fanout (site
+/// included), `pos` the POs inside it, and `needed` the fanin support of
+/// those POs: the miter's cone of influence. Everything outside `needed`
+/// cannot influence whether the fault is observed.
+struct FaultCone {
+  std::vector<bool> affected;
+  std::vector<GateId> pos;
+  std::vector<bool> needed;
+};
+
+/// nullopt when the fault reaches no PO (it cannot be detected).
+std::optional<FaultCone> fault_cone(const Netlist& n, const Fault& f) {
+  FaultCone c;
+  c.affected.assign(n.num_gates(), false);
+  c.affected[f.gate] = true;
+  for (GateId g = f.gate + 1; g < n.num_gates(); ++g) {
+    for (const GateId x : n.fanins(g)) {
+      if (c.affected[x]) {
+        c.affected[g] = true;
         break;
       }
     }
   }
-  return affected;
+  for (const auto& po : n.outputs())
+    if (c.affected[po.gate]) c.pos.push_back(po.gate);
+  if (c.pos.empty()) return std::nullopt;
+  c.needed = fanin_cone(n, c.pos);
+  return c;
+}
+
+/// Good copy of the gates selected by `mask` (all gates when null); the
+/// other entries stay kNoVar.
+std::vector<sat::Var> encode_good(const Netlist& n, sat::Encoder& e,
+                                  const std::vector<bool>* mask) {
+  std::vector<sat::Var> gvar(n.num_gates(), sat::Encoder::kNoVar);
+  std::vector<sat::Var> fi;
+  for (GateId g = 0; g < n.num_gates(); ++g) {
+    if (mask != nullptr && !(*mask)[g]) continue;
+    const GateType t = n.type(g);
+    if (t == GateType::kInput) {
+      gvar[g] = e.sink().new_var();
+      continue;
+    }
+    fi.clear();
+    for (const GateId x : n.fanins(g)) fi.push_back(gvar[x]);
+    gvar[g] = e.encode_gate(t, fi);
+  }
+  return gvar;
+}
+
+/// The fault's miter (faulty copy, output miter, D-chain, activation; see
+/// atpg.h) on top of a good copy `gvar` that covers `c.needed`. Returns
+/// the faulty copy's variables (kNoVar outside the faulty cone). With `act`
+/// set, the clauses a retired query must not keep (output miter, d_site,
+/// activation) are guarded by ¬act; the rest hold with every d false.
+std::vector<sat::Var> encode_fault_miter(const Netlist& n, const Fault& f,
+                                         const FaultCone& c, sat::Encoder& e,
+                                         const std::vector<sat::Var>& gvar,
+                                         sat::Var act) {
+  sat::ClauseSink& s = e.sink();
+  const auto guarded = [&](std::vector<sat::Lit> lits) {
+    if (act != sat::Encoder::kNoVar) lits.push_back(sat::neg(act));
+    s.add_clause(lits);
+  };
+
+  const sat::Var stuck = s.new_var();
+  s.add_clause({sat::Lit(stuck, !f.stuck_value)});
+
+  std::vector<sat::Var> fvar(n.num_gates(), sat::Encoder::kNoVar);
+  std::vector<sat::Var> dvar(n.num_gates(), sat::Encoder::kNoVar);
+  std::vector<sat::Var> fi;
+  for (GateId g = f.gate; g < n.num_gates(); ++g) {
+    if (!c.affected[g] || !c.needed[g]) continue;
+    dvar[g] = s.new_var();
+    if (g == f.gate && f.pin < 0) {
+      fvar[g] = stuck;  // output stuck-at
+      continue;
+    }
+    const GateType t = n.type(g);
+    ORAP_CHECK_MSG(gate_type_is_logic(t),
+                   "fault site cone reached a non-logic gate");
+    fi.clear();
+    const auto fanins = n.fanins(g);
+    for (std::size_t p = 0; p < fanins.size(); ++p) {
+      if (g == f.gate && static_cast<std::int32_t>(p) == f.pin)
+        fi.push_back(stuck);
+      else
+        fi.push_back(c.affected[fanins[p]] ? fvar[fanins[p]]
+                                           : gvar[fanins[p]]);
+    }
+    fvar[g] = e.encode_gate(t, fi);
+  }
+
+  // Miter: some affected PO differs.
+  std::vector<sat::Lit> any;
+  for (const GateId po : c.pos)
+    any.push_back(sat::pos(e.encode_xor2(gvar[po], fvar[po])));
+  guarded(any);
+
+  // D-chain. A cone gate's fanouts are cone gates with a larger id, so
+  // one forward sweep collects each gate's d-successors.
+  std::vector<bool> is_po(n.num_gates(), false);
+  for (const GateId po : c.pos) is_po[po] = true;
+  std::vector<std::vector<sat::Lit>> next(n.num_gates());
+  for (GateId h = f.gate + 1; h < n.num_gates(); ++h) {
+    if (dvar[h] == sat::Encoder::kNoVar) continue;
+    for (const GateId x : n.fanins(h))
+      if (dvar[x] != sat::Encoder::kNoVar && !is_po[x])
+        next[x].push_back(sat::pos(dvar[h]));
+  }
+  for (GateId g = f.gate; g < n.num_gates(); ++g) {
+    const sat::Var d = dvar[g];
+    if (d == sat::Encoder::kNoVar) continue;
+    s.add_clause({sat::neg(d), sat::pos(gvar[g]), sat::pos(fvar[g])});
+    s.add_clause({sat::neg(d), sat::neg(gvar[g]), sat::neg(fvar[g])});
+    if (is_po[g]) continue;
+    next[g].push_back(sat::neg(d));
+    s.add_clause(next[g]);
+  }
+  guarded({sat::pos(dvar[f.gate])});
+
+  // Activation.
+  const GateId line = f.pin < 0 ? f.gate : n.fanins(f.gate)[f.pin];
+  guarded({sat::Lit(gvar[line], f.stuck_value)});
+  return fvar;
 }
 
 /// Persistent-solver ATPG (AtpgOptions::incremental). The good circuit is
 /// encoded once at construction; generate() adds only the fault's faulty
-/// cone and an activation-guarded miter, solves under the assumption
-/// pos(act), and retires the query with a unit ¬act. Everything the solver
-/// learned about the good logic — the bulk of every fault query — stays
-/// live for the next fault.
+/// cone and its act-guarded miter, solves under the assumption pos(act),
+/// and retires the query with a unit ¬act. Everything the solver learned
+/// about the good logic — the bulk of every fault query — stays live for
+/// the next fault.
 class IncrementalAtpg {
  public:
   IncrementalAtpg(const Netlist& n, const AtpgOptions& opts,
                   const std::chrono::steady_clock::time_point* deadline)
       : n_(n), s_(cube_opts(opts)), e_(s_) {
     if (deadline != nullptr) s_.set_deadline(*deadline);
-    gvar_.assign(n.num_gates(), sat::Encoder::kNoVar);
-    std::vector<sat::Var> fi;
-    for (GateId g = 0; g < n.num_gates(); ++g) {
-      const GateType t = n.type(g);
-      if (t == GateType::kInput) {
-        gvar_[g] = s_.new_var();
-        continue;
-      }
-      if (t == GateType::kConst0 || t == GateType::kConst1) {
-        gvar_[g] = e_.encode_gate(t, {});
-        continue;
-      }
-      fi.clear();
-      for (const GateId x : n.fanins(g)) fi.push_back(gvar_[x]);
-      gvar_[g] = e_.encode_gate(t, fi);
-    }
+    gvar_ = encode_good(n, e_, nullptr);
     if (opts.preprocess) {
       // Any gate can become a future cone boundary (a faulty-cone fanin),
       // so every gate variable is interface here: elimination is off the
@@ -65,57 +162,22 @@ class IncrementalAtpg {
   std::optional<BitVec> generate(const Fault& f, std::int64_t budget,
                                  bool* aborted) {
     *aborted = false;
-    const auto affected = fanout_cone(n_, f.gate);
-    std::vector<GateId> reachable_pos;
-    for (const auto& po : n_.outputs())
-      if (affected[po.gate]) reachable_pos.push_back(po.gate);
-    if (reachable_pos.empty()) return std::nullopt;  // cannot reach any PO
+    const auto cone = fault_cone(n_, f);
+    if (!cone.has_value()) return std::nullopt;  // cannot reach any PO
 
     // The non-incremental path re-encodes the whole cone of influence per
     // fault; here everything outside the faulty cone rides on the
     // persistent good copy.
-    const auto needed = fanin_cone(n_, reachable_pos);
     for (GateId g = 0; g < n_.num_gates(); ++g)
-      if (needed[g] && !affected[g]) ++encode_reused_;
+      if (cone->needed[g] && !cone->affected[g]) ++encode_reused_;
 
     const sat::Var act = s_.new_var();
-    const sat::Var stuck = s_.new_var();
-    s_.add_clause({sat::Lit(stuck, !f.stuck_value)});
-
-    fvar_.assign(n_.num_gates(), sat::Encoder::kNoVar);
-    std::vector<sat::Var> fi;
-    for (GateId g = 0; g < n_.num_gates(); ++g) {
-      if (!affected[g]) continue;
-      if (g == f.gate && f.pin < 0) {
-        fvar_[g] = stuck;  // output stuck-at
-        continue;
-      }
-      const GateType t = n_.type(g);
-      ORAP_CHECK_MSG(gate_type_is_logic(t),
-                     "fault site cone reached a non-logic gate");
-      fi.clear();
-      const auto fanins = n_.fanins(g);
-      for (std::size_t p = 0; p < fanins.size(); ++p) {
-        if (g == f.gate && static_cast<std::int32_t>(p) == f.pin)
-          fi.push_back(stuck);
-        else
-          fi.push_back(affected[fanins[p]] ? fvar_[fanins[p]]
-                                           : gvar_[fanins[p]]);
-      }
-      fvar_[g] = e_.encode_gate(t, fi);
-    }
-
-    // act -> some affected PO differs.
-    std::vector<sat::Lit> any{sat::neg(act)};
-    for (const GateId po_gate : reachable_pos)
-      any.push_back(
-          sat::pos(e_.encode_xor2(gvar_[po_gate], fvar_[po_gate])));
-    s_.add_clause(any);
+    encode_fault_miter(n_, f, *cone, e_, gvar_, act);
 
     const std::vector<sat::Lit> assume{sat::pos(act)};
     const auto res = s_.solve(assume, budget);
-    // Retire the query: the miter clause (the only act-guarded clause)
-    // goes permanently silent; the faulty-cone definitions are satisfiable
+    // Retire the query: the act-guarded clauses go permanently silent;
+    // the faulty-cone definitions and D-chain implications are satisfiable
     // under any input and stay as dead weight the solver never revisits.
     s_.add_clause({sat::neg(act)});
     if (res == sat::Solver::Result::kUnknown) {
@@ -145,7 +207,6 @@ class IncrementalAtpg {
   sat::CubeSolver s_;
   sat::Encoder e_;
   std::vector<sat::Var> gvar_;
-  std::vector<sat::Var> fvar_;  // per-fault scratch
   std::uint64_t encode_reused_ = 0;
 };
 
@@ -163,12 +224,8 @@ std::optional<BitVec> generate_test(
   // reach matters. Everything outside stays unconstrained (and its
   // pattern bits default to 0), which keeps the CNF proportional to the
   // fault's neighbourhood rather than the whole circuit.
-  const auto affected = fanout_cone(n, f.gate);
-  std::vector<GateId> reachable_pos;
-  for (const auto& po : n.outputs())
-    if (affected[po.gate]) reachable_pos.push_back(po.gate);
-  if (reachable_pos.empty()) return std::nullopt;  // cannot reach any PO
-  const auto needed = fanin_cone(n, reachable_pos);
+  const auto cone = fault_cone(n, f);
+  if (!cone.has_value()) return std::nullopt;  // cannot reach any PO
 
   sat::CubeOptions co;
   co.depth = cube_depth;
@@ -177,69 +234,18 @@ std::optional<BitVec> generate_test(
   if (deadline != nullptr) s.set_deadline(*deadline);
   sat::Encoder e(s);
 
-  // Good copy, restricted to the cone of influence.
-  std::vector<sat::Var> gvar(n.num_gates(), sat::Encoder::kNoVar);
-  for (GateId g = 0; g < n.num_gates(); ++g) {
-    if (!needed[g]) continue;
-    const GateType t = n.type(g);
-    if (t == GateType::kInput) {
-      gvar[g] = s.new_var();
-      continue;
-    }
-    if (t == GateType::kConst0 || t == GateType::kConst1) {
-      gvar[g] = e.encode_gate(t, {});
-      continue;
-    }
-    std::vector<sat::Var> fi;
-    for (const GateId x : n.fanins(g)) fi.push_back(gvar[x]);
-    gvar[g] = e.encode_gate(t, fi);
-  }
-
-  // Faulty copy: clone only the fault's fanout cone; everything else is
-  // shared with the good copy.
-  std::vector<sat::Var> fvar(n.num_gates(), sat::Encoder::kNoVar);
-  const sat::Var stuck = s.new_var();
-  s.add_clause({sat::Lit(stuck, !f.stuck_value)});
-
-  for (GateId g = 0; g < n.num_gates(); ++g) {
-    if (!needed[g]) continue;
-    if (!affected[g]) {
-      fvar[g] = gvar[g];
-      continue;
-    }
-    if (g == f.gate && f.pin < 0) {
-      fvar[g] = stuck;  // output stuck-at
-      continue;
-    }
-    const GateType t = n.type(g);
-    ORAP_CHECK_MSG(gate_type_is_logic(t),
-                   "fault site cone reached a non-logic gate");
-    std::vector<sat::Var> fi;
-    const auto fanins = n.fanins(g);
-    for (std::size_t p = 0; p < fanins.size(); ++p) {
-      if (g == f.gate && static_cast<std::int32_t>(p) == f.pin)
-        fi.push_back(stuck);
-      else
-        fi.push_back(fvar[fanins[p]]);
-    }
-    fvar[g] = e.encode_gate(t, fi);
-  }
-
-  // Miter: some affected PO differs.
-  std::vector<sat::Lit> any;
-  for (const GateId po_gate : reachable_pos)
-    any.push_back(sat::pos(e.encode_xor2(gvar[po_gate], fvar[po_gate])));
-  s.add_clause(any);
+  const auto gvar = encode_good(n, e, &cone->needed);
+  const auto fvar =
+      encode_fault_miter(n, f, *cone, e, gvar, sat::Encoder::kNoVar);
 
   if (preprocess) {
-    // The pattern is read back from the PI variables and the fault site
-    // pins the miter: keep them (and the observed POs) out of elimination.
+    // The pattern is read back from the PI variables: keep them (and the
+    // observed POs) out of elimination.
     for (std::size_t i = 0; i < n.num_inputs(); ++i) {
       const GateId in = n.inputs()[i];
       if (gvar[in] != sat::Encoder::kNoVar) s.freeze(gvar[in]);
     }
-    s.freeze(stuck);
-    for (const GateId po_gate : reachable_pos) {
+    for (const GateId po_gate : cone->pos) {
       s.freeze(gvar[po_gate]);
       s.freeze(fvar[po_gate]);
     }

@@ -2,11 +2,28 @@
 // SAT-based stuck-at ATPG (the Atalanta stand-in of the Table II flow).
 //
 // For each fault left over from the pseudorandom fault-simulation phase, a
-// good/faulty miter is encoded (sharing everything outside the fault's
-// fanout cone) and solved under a conflict budget:
+// miter is encoded over the fault's cone of influence (the fanin support of
+// the POs its fanout cone reaches) and solved under a conflict budget:
 //   SAT     -> test pattern generated (validated in the fault simulator),
 //   UNSAT   -> fault is provably redundant,
 //   UNKNOWN -> aborted (budget exhausted), like Atalanta's backtrack limit.
+//
+// The miter (Larrabee's SAT-ATPG with the TEGUS D-chain):
+//  * good copy of the cone of influence, and a faulty copy of the fault's
+//    fanout cone within it, whose side inputs read the good copy;
+//  * the output miter: some reachable PO differs between the copies;
+//  * D-chain: a variable d_g per faulty-cone gate with d_g -> good(g) !=
+//    faulty(g) and, unless g is a PO, d_g -> OR of d_h over g's fanouts in
+//    the cone; the unit d_site;
+//  * activation: the good value of the faulted line (the site for an
+//    output fault, the pin's driver for a pin fault) != the stuck value.
+// The last two only state what the output miter already implies — every
+// detecting pattern has a path of differing lines from the site to a PO,
+// and d = true on that path, false elsewhere, satisfies them — so each
+// fault keeps its SAT/UNSAT verdict. What they add is guidance: a
+// redundancy proof that plain CDCL needs thousands of conflicts for
+// becomes a few propagations, because the solver sees at once that the
+// effect must leave the site and travel along a sensitized path.
 
 #include <chrono>
 #include <cstdint>
@@ -35,8 +52,8 @@ struct AtpgOptions {
   /// deterministic lockstep epochs (sat/portfolio.h); 1 = single solver.
   std::size_t portfolio_size = 1;
   /// Runs SatELite-style CNF simplification (sat/simplify.h) on each
-  /// good/faulty miter before solving. Fault-site and PI/PO variables are
-  /// frozen so the test pattern stays readable from the model.
+  /// good/faulty miter before solving. PI and PO variables are frozen so
+  /// the test pattern stays readable from the model.
   bool preprocess = false;
   /// > 0 splits every fault query into 2^depth cubes via deterministic
   /// lookahead and conquers them in parallel (sat/cube.h); the conflict
@@ -49,16 +66,18 @@ struct AtpgOptions {
   std::int64_t deadline_ms = -1;
   /// Incremental single-solver mode: one persistent solver for the whole
   /// ATPG phase. The good circuit is encoded once; each fault adds only
-  /// its faulty fanout cone plus a miter clause guarded by a fresh
-  /// activation literal, solves under that assumption, and retires the
-  /// query with a unit ¬act — so learnt clauses about the shared good
-  /// logic carry from fault to fault instead of being re-derived per
-  /// query. Same fault classification semantics; the generated patterns
-  /// may differ (different CNF, different model), and each is still
-  /// validated in the fault simulator. With `preprocess`, simplification
-  /// runs once after the good copy with every gate variable frozen
-  /// (any gate can become a future cone boundary), i.e. subsumption and
-  /// strengthening only — no elimination.
+  /// its faulty fanout cone plus the miter, whose output, d_site and
+  /// activation clauses are guarded by a fresh activation literal, solves
+  /// under that assumption, and retires the query with a unit ¬act
+  /// (the D-chain implications stay, satisfied by d = false) — so learnt
+  /// clauses about the shared good logic carry from fault to fault
+  /// instead of being re-derived per query. Same fault classification
+  /// semantics; the generated patterns may differ (different CNF,
+  /// different model), and each is still validated in the fault
+  /// simulator. With `preprocess`, simplification runs once after the
+  /// good copy with every gate variable frozen (any gate can become a
+  /// future cone boundary), i.e. subsumption and strengthening only — no
+  /// elimination.
   bool incremental = false;
   /// Words per fault-simulation block (64 patterns each). 0 = auto
   /// (simd::kBlockWords). Any width detects the identical fault set.

@@ -10,6 +10,7 @@
 #include "gen/embedded.h"
 #include "netlist/simulator.h"
 #include "sat/encode.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace orap::aig {
@@ -210,6 +211,33 @@ TEST(Resynth, StatsPipeline) {
   EXPECT_GT(st.ands, 0u);
   EXPECT_GT(st.depth, 0u);
   EXPECT_LE(st.ands, Aig::from_netlist(n).num_ands());
+}
+
+TEST(Resynth, ConcurrentStatsMatchSerial) {
+  // The rewriter's function-synthesis memo is process-wide. Resynthesis
+  // from four pool threads at once, starting from a cold memo, must give
+  // the serial answers (and must not corrupt the memo).
+  std::vector<Netlist> circuits;
+  for (int i = 0; i < 12; ++i) {
+    GenSpec spec;
+    spec.num_inputs = 16;
+    spec.num_outputs = 8;
+    spec.num_gates = 200;
+    spec.depth = 10;
+    spec.seed = 9100 + i;
+    circuits.push_back(generate_circuit(spec));
+  }
+  std::vector<AigStats> concurrent(circuits.size());
+  set_parallel_threads(4);
+  parallel_for(1, circuits.size(), [&](std::size_t i) {
+    concurrent[i] = resynthesized_stats(circuits[i]);
+  });
+  set_parallel_threads(0);
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    const AigStats serial = resynthesized_stats(circuits[i]);
+    EXPECT_EQ(concurrent[i].ands, serial.ands) << "circuit " << i;
+    EXPECT_EQ(concurrent[i].depth, serial.depth) << "circuit " << i;
+  }
 }
 
 TEST(Refactor, CollapsesRedundantCone) {

@@ -162,6 +162,22 @@ TEST(JsonReport, NonFiniteValuesBecomeNull) {
   std::remove(path.c_str());
 }
 
+TEST(JsonReport, SignificantDigitsNeverRoundSmallRatesToZero) {
+  const std::string path = ::testing::TempDir() + "/json_report_sig.json";
+  BenchArgs args;
+  args.json_path = path;
+  JsonReport report("sig_test", args);
+  report.add_sig("small_rate", 0.0123456);
+  report.add_sig("rate", 12.3456);
+  report.add_sig("nan_rate", std::nan(""));
+  EXPECT_TRUE(report.finish());
+  const std::string json = slurp(path);
+  EXPECT_NE(json.find("\"small_rate\": 0.0123,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"rate\": 12.3,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"nan_rate\": null"), std::string::npos) << json;
+  std::remove(path.c_str());
+}
+
 TEST(JsonReport, FinishReportsUnwritablePath) {
   BenchArgs args;
   args.json_path = ::testing::TempDir() + "/no_such_dir_xyzzy/report.json";

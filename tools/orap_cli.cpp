@@ -335,7 +335,7 @@ int cmd_atpg(const Args& a) {
   std::printf("aborted:             %zu\n", r.aborted);
   std::printf("atpg patterns:       %zu\n", r.patterns.size());
   if (r.random_sim_ms > 0.0)
-    std::printf("random-phase sim:    %zu patterns, %.2f Mpatterns/s\n",
+    std::printf("random-phase sim:    %zu patterns, %.3g Mpatterns/s\n",
                 r.random_sim_patterns,
                 static_cast<double>(r.random_sim_patterns) /
                     (r.random_sim_ms * 1e3));
