@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "aig/rewrite.h"
 #include "atpg/fault_sim.h"
 #include "chip/chip.h"
@@ -78,7 +80,9 @@ void BM_FaultSimBlock(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(all_faults.size()));
 }
-BENCHMARK(BM_FaultSimBlock)->Arg(1000)->Arg(5000);
+// Fault simulation fans faults out on the pool, so these two report wall
+// time: the calling thread's CPU time would leave out the workers.
+BENCHMARK(BM_FaultSimBlock)->Arg(1000)->Arg(5000)->UseRealTime();
 
 void BM_FaultSimBlockWide(benchmark::State& state) {
   // Fault simulation with 64*kBlockWords patterns per pass: the good
@@ -98,7 +102,7 @@ void BM_FaultSimBlockWide(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(all_faults.size()));
 }
-BENCHMARK(BM_FaultSimBlockWide)->Arg(1000)->Arg(5000);
+BENCHMARK(BM_FaultSimBlockWide)->Arg(1000)->Arg(5000)->UseRealTime();
 
 void BM_AigRewritePass(benchmark::State& state) {
   const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));
@@ -110,6 +114,22 @@ void BM_AigRewritePass(benchmark::State& state) {
                           static_cast<std::int64_t>(a.num_ands()));
 }
 BENCHMARK(BM_AigRewritePass)->Arg(1000)->Arg(10000);
+
+void BM_Resynthesize(benchmark::State& state) {
+  // The full Table I pipeline (balance, rewrite, refactor, rewrite,
+  // balance) on the b19 stand-in at perfbench paper_tables scale
+  // (200 gates). items_per_second is input AND nodes per second.
+  const BenchmarkProfile& p = benchmark_profile("b19");
+  const Netlist n = make_benchmark(
+      p, std::min(0.01, 200.0 / static_cast<double>(p.gates_no_inv)), 1);
+  const aig::Aig a = aig::Aig::from_netlist(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aig::resynthesize(a).num_ands());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(a.num_ands()));
+}
+BENCHMARK(BM_Resynthesize);
 
 void BM_CnfEncode(benchmark::State& state) {
   const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));

@@ -1,6 +1,7 @@
 #include "aig/aig.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace orap::aig {
 
@@ -23,29 +24,60 @@ AigLit Aig::add_pi() {
   return make_lit(node, false);
 }
 
-AigLit Aig::find_and(AigLit a, AigLit b) const {
-  if (a > b) std::swap(a, b);
+namespace {
+
+/// Result of `a & b` when a trivial rule decides it (constants, a & a,
+/// a & !a), else Aig::kNoLit. Expects a <= b.
+AigLit trivial_and(AigLit a, AigLit b) {
   if (a == kLitFalse) return kLitFalse;
   if (a == kLitTrue) return b;
   if (a == b) return a;
   if (a == lit_not(b)) return kLitFalse;
-  const auto it = strash_.find({a, b});
-  return it == strash_.end() ? kNoLit : make_lit(it->second, false);
+  return Aig::kNoLit;
+}
+
+std::uint64_t strash_key(AigLit a, AigLit b) {
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
+}  // namespace
+
+std::size_t Aig::strash_slot(std::uint64_t key) const {
+  // Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
+  const std::size_t mask = strash_.size() - 1;
+  auto i = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                    strash_shift_);
+  while (strash_[i].key != 0 && strash_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void Aig::grow_strash() {
+  std::vector<Slot> old = std::move(strash_);
+  strash_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+  strash_shift_ = 64 - std::countr_zero(strash_.size());
+  for (const Slot& s : old)
+    if (s.key != 0) strash_[strash_slot(s.key)] = s;
+}
+
+AigLit Aig::find_and(AigLit a, AigLit b) const {
+  if (a > b) std::swap(a, b);
+  if (const AigLit t = trivial_and(a, b); t != kNoLit) return t;
+  if (strash_.empty()) return kNoLit;
+  const Slot& s = strash_[strash_slot(strash_key(a, b))];
+  return s.key == 0 ? kNoLit : make_lit(s.node, false);
 }
 
 AigLit Aig::and2(AigLit a, AigLit b) {
   if (a > b) std::swap(a, b);
-  if (a == kLitFalse) return kLitFalse;
-  if (a == kLitTrue) return b;
-  if (a == b) return a;
-  if (a == lit_not(b)) return kLitFalse;
+  if (const AigLit t = trivial_and(a, b); t != kNoLit) return t;
   ORAP_DCHECK(lit_node(b) < num_nodes());
-  const auto it = strash_.find({a, b});
-  if (it != strash_.end()) return make_lit(it->second, false);
-  const std::uint32_t node = new_node(a, b);
-  strash_.emplace(std::make_pair(a, b), node);
+  if (2 * (num_ands_ + 1) > strash_.size()) grow_strash();
+  const std::uint64_t key = strash_key(a, b);
+  Slot& s = strash_[strash_slot(key)];
+  if (s.key == key) return make_lit(s.node, false);
+  s = {key, new_node(a, b)};
   ++num_ands_;
-  return make_lit(node, false);
+  return make_lit(s.node, false);
 }
 
 AigLit Aig::xor2(AigLit a, AigLit b) {

@@ -5,10 +5,14 @@
 // used to measure Table I's area (AND-node count; inverters are free
 // complement edges, matching the paper's inverter-less gate counts) and
 // delay (AND levels).
+//
+// The structural hash is an open-addressing table (linear probing, load at
+// most 1/2) keyed on the sorted fanin pair packed as (a << 32) | b, with
+// no per-entry allocation: the rewriter probes it for every node of every
+// candidate cut structure.
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -36,6 +40,7 @@ class Aig {
   // --- construction ------------------------------------------------------
   AigLit add_pi();
   /// Hashed AND with trivial-case simplification (constants, a&a, a&!a).
+  /// A new node gets the next free id.
   AigLit and2(AigLit a, AigLit b);
   AigLit or2(AigLit a, AigLit b) {
     return lit_not(and2(lit_not(a), lit_not(b)));
@@ -94,19 +99,22 @@ class Aig {
  private:
   std::uint32_t new_node(AigLit f0, AigLit f1);
 
-  struct PairHash {
-    std::size_t operator()(const std::pair<AigLit, AigLit>& p) const {
-      return std::hash<std::uint64_t>()(
-          (static_cast<std::uint64_t>(p.first) << 32) | p.second);
-    }
+  // One structural-hash slot. Keys are (a << 32) | b with 2 <= a < b, so
+  // key 0 marks an empty slot.
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t node = 0;
   };
+  /// Slot holding `key`, or the empty slot where it would go.
+  std::size_t strash_slot(std::uint64_t key) const;
+  void grow_strash();
 
   std::vector<AigLit> fanin0_;  // kNoLit for PIs and const
   std::vector<AigLit> fanin1_;
   std::vector<std::uint32_t> pis_;
   std::vector<AigLit> pos_;
-  std::unordered_map<std::pair<AigLit, AigLit>, std::uint32_t, PairHash>
-      strash_;
+  std::vector<Slot> strash_;  // power-of-two size, at most half full
+  int strash_shift_ = 64;     // 64 - log2(strash_.size())
   std::size_t num_ands_ = 0;
 };
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <mutex>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 
 namespace orap::aig {
@@ -41,61 +44,57 @@ struct TruthOps {
 };
 
 using Tt = std::uint16_t;  // 4-var tables for the cut rewriter
-using Ops4 = TruthOps<Tt, 4>;
 constexpr Tt kVarTt[4] = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
 constexpr Tt kTtTrue = 0xFFFF;
-
-Tt cofactor0(Tt f, int var) { return Ops4::cofactor0(f, var); }
-Tt cofactor1(Tt f, int var) { return Ops4::cofactor1(f, var); }
-bool depends_on(Tt f, int var) { return Ops4::depends_on(f, var); }
 
 // --- cuts --------------------------------------------------------------------
 
 struct Cut {
-  std::array<std::uint32_t, 4> leaves{};
+  std::array<std::uint32_t, 4> leaves{};  // sorted; unused entries are 0
+  std::uint64_t sign = 0;  // OR of 1 << (leaf % 64): a leaf-set filter
   std::uint8_t size = 0;
   Tt truth = 0;  // over leaves[0..size-1] as vars 0..size-1 (padded to 4)
 };
 
-/// Re-expresses `t` (over `from`) on the leaf set `to` (a superset).
-Tt expand_truth(Tt t, const Cut& from, const Cut& to) {
-  std::array<int, 4> pos{};  // var i of `from` sits at pos[i] of `to`
-  for (int i = 0; i < from.size; ++i) {
-    int p = -1;
-    for (int j = 0; j < to.size; ++j)
-      if (to.leaves[j] == from.leaves[i]) {
-        p = j;
-        break;
-      }
-    ORAP_DCHECK(p >= 0);
-    pos[i] = p;
-  }
-  Tt out = 0;
-  for (int m = 0; m < 16; ++m) {
-    int proj = 0;
-    for (int i = 0; i < from.size; ++i)
-      proj |= ((m >> pos[i]) & 1) << i;
-    if ((t >> proj) & 1) out |= static_cast<Tt>(1) << m;
-  }
-  return out;
+Cut trivial_cut(std::uint32_t node) {
+  Cut c;
+  c.leaves[0] = node;
+  c.sign = std::uint64_t{1} << (node % 64);
+  c.size = 1;
+  c.truth = kVarTt[0];
+  return c;
 }
 
-bool merge_leaves(const Cut& a, const Cut& b, Cut& out) {
-  int i = 0, j = 0, k = 0;
+/// Exchanges variables i < j of a 4-variable truth table.
+Tt swap_vars(Tt t, int i, int j) {
+  const int shift = (1 << j) - (1 << i);
+  const auto up = static_cast<Tt>(kVarTt[i] & ~kVarTt[j]);
+  const auto down = static_cast<Tt>(kVarTt[j] & ~kVarTt[i]);
+  return static_cast<Tt>((t & ~(up | down)) | ((t & up) << shift) |
+                         ((t & down) >> shift));
+}
+
+/// Sorted union of two leaf sets into `out.leaves`/`out.size`; false if it
+/// has more than 4 leaves. pa[i] / pb[j] receive the position of a's i-th
+/// and b's j-th leaf in the union.
+bool merge_leaves(const Cut& a, const Cut& b, Cut& out,
+                  std::array<std::uint8_t, 4>& pa,
+                  std::array<std::uint8_t, 4>& pb) {
+  int i = 0, j = 0;
+  std::uint8_t k = 0;
   while (i < a.size || j < b.size) {
-    std::uint32_t next;
-    if (i < a.size && (j >= b.size || a.leaves[i] <= b.leaves[j])) {
-      next = a.leaves[i];
-      if (j < b.size && b.leaves[j] == next) ++j;
-      ++i;
-    } else {
-      next = b.leaves[j];
-      ++j;
-    }
     if (k == 4) return false;
-    out.leaves[k++] = next;
+    if (i < a.size && (j >= b.size || a.leaves[i] <= b.leaves[j])) {
+      if (j < b.size && b.leaves[j] == a.leaves[i]) pb[j++] = k;
+      out.leaves[k] = a.leaves[i];
+      pa[i++] = k;
+    } else {
+      out.leaves[k] = b.leaves[j];
+      pb[j++] = k;
+    }
+    ++k;
   }
-  out.size = static_cast<std::uint8_t>(k);
+  out.size = k;
   return true;
 }
 
@@ -155,12 +154,32 @@ class FuncSynthT {
     return flip ? static_cast<TT>(~f) : f;
   }
 
+  // Four-variable decisions sit in a direct-indexed table: normalized
+  // functions are even, so f >> 1 indexes 2^15 entries, and cost kUnset
+  // marks one not computed yet. Six-variable functions are too many to
+  // tabulate, so their memo is a hash map.
+  static constexpr std::uint16_t kUnset = 0xffff;
+  using Memo = std::conditional_t<NV == 4, std::vector<Decision>,
+                                  std::unordered_map<TT, Decision>>;
+
+  static Memo empty_memo() {
+    if constexpr (NV == 4)
+      return Memo(std::size_t{1} << 15, Decision{DecKind::kConst0, 0, kUnset});
+    else
+      return {};
+  }
+
   const Decision& decide(TT f) {
     ORAP_DCHECK((f & 1) == 0);
-    auto it = memo_.find(f);
-    if (it != memo_.end()) return it->second;
-    Decision d = compute(f);
-    return memo_.emplace(f, d).first->second;
+    if constexpr (NV == 4) {
+      Decision& d = memo_[f >> 1];
+      if (d.cost == kUnset) d = compute(f);
+      return d;
+    } else {
+      const auto it = memo_.find(f);
+      if (it != memo_.end()) return it->second;
+      return memo_.emplace(f, compute(f)).first->second;
+    }
   }
 
   Decision compute(TT f) {
@@ -260,7 +279,7 @@ class FuncSynthT {
     }
   }
 
-  std::unordered_map<TT, Decision> memo_;
+  Memo memo_ = empty_memo();
 };
 
 using FuncSynth = FuncSynthT<std::uint16_t, 4>;
@@ -285,55 +304,85 @@ ConeSynth& cone_synth() {
   return s;
 }
 
-// --- cut enumeration -----------------------------------------------------------
+}  // namespace
 
-std::vector<std::vector<Cut>> enumerate_cuts(const Aig& in, int cuts_per_node) {
-  std::vector<std::vector<Cut>> cuts(in.num_nodes());
-  // Constant node: single empty-leaf cut with constant-0 truth.
-  cuts[0].push_back(Cut{{}, 0, 0});
+namespace detail {
+
+Tt truth_stretch(Tt t, int n, const std::array<std::uint8_t, 4>& pos) {
+  // pos is strictly increasing with pos[i] >= i, so moving the highest
+  // variable first always swaps into a position `t` does not depend on.
+  for (int i = n - 1; i >= 0; --i)
+    if (pos[i] != i) t = swap_vars(t, i, pos[i]);
+  return t;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// The cuts of every node of an AIG in one flat array: node n owns slots
+/// [n * stride, n * stride + count[n]) with stride = cuts_per_node + 1 —
+/// its best cuts by leaf count, then its trivial cut.
+class CutStore {
+ public:
+  CutStore(const Aig& in, int cuts_per_node);
+  std::span<const Cut> of(std::uint32_t n) const {
+    return {cuts_.data() + n * stride_, count_[n]};
+  }
+
+ private:
+  std::size_t stride_;
+  std::vector<Cut> cuts_;
+  std::vector<std::uint32_t> count_;
+};
+
+CutStore::CutStore(const Aig& in, int cuts_per_node)
+    : stride_(static_cast<std::size_t>(cuts_per_node) + 1),
+      cuts_(in.num_nodes() * stride_),
+      count_(in.num_nodes(), 1) {
+  // Node 0 (constant) keeps the default cut: no leaves, constant-0 truth.
+  std::vector<Cut> cand;  // one node's candidates, in generation order
+  cand.reserve(stride_ * stride_);
   for (std::uint32_t n = 1; n < in.num_nodes(); ++n) {
-    Cut trivial;
-    trivial.leaves[0] = n;
-    trivial.size = 1;
-    trivial.truth = kVarTt[0];
+    Cut* slot = cuts_.data() + n * stride_;
     if (!in.is_and(n)) {
-      cuts[n].push_back(trivial);
+      slot[0] = trivial_cut(n);
       continue;
     }
     const AigLit l0 = in.fanin0(n);
     const AigLit l1 = in.fanin1(n);
-    std::vector<Cut>& out = cuts[n];
-    for (const Cut& c0 : cuts[lit_node(l0)]) {
-      for (const Cut& c1 : cuts[lit_node(l1)]) {
-        Cut merged;
-        if (!merge_leaves(c0, c1, merged)) continue;
-        Tt t0 = expand_truth(c0.truth, c0, merged);
-        Tt t1 = expand_truth(c1.truth, c1, merged);
-        if (lit_compl(l0)) t0 = static_cast<Tt>(~t0);
-        if (lit_compl(l1)) t1 = static_cast<Tt>(~t1);
-        merged.truth = t0 & t1;
+    const Tt flip0 = lit_compl(l0) ? kTtTrue : 0;
+    const Tt flip1 = lit_compl(l1) ? kTtTrue : 0;
+    cand.clear();
+    for (const Cut& c0 : of(lit_node(l0))) {
+      for (const Cut& c1 : of(lit_node(l1))) {
+        const std::uint64_t sign = c0.sign | c1.sign;
+        if (std::popcount(sign) > 4) continue;
+        Cut m;
+        std::array<std::uint8_t, 4> p0{}, p1{};
+        if (!merge_leaves(c0, c1, m, p0, p1)) continue;
+        m.sign = sign;
+        m.truth = static_cast<Tt>(
+            (detail::truth_stretch(c0.truth, c0.size, p0) ^ flip0) &
+            (detail::truth_stretch(c1.truth, c1.size, p1) ^ flip1));
         // Dedupe by leaf set.
-        bool dup = false;
-        for (const Cut& c : out)
-          if (c.size == merged.size && c.leaves == merged.leaves) {
-            dup = true;
-            break;
-          }
-        if (!dup) out.push_back(merged);
+        const bool dup =
+            std::any_of(cand.begin(), cand.end(), [&m](const Cut& c) {
+              return c.sign == m.sign && c.size == m.size &&
+                     c.leaves == m.leaves;
+            });
+        if (!dup) cand.push_back(m);
       }
     }
-    std::sort(out.begin(), out.end(),
+    std::sort(cand.begin(), cand.end(),
               [](const Cut& a, const Cut& b) { return a.size < b.size; });
-    if (static_cast<int>(out.size()) > cuts_per_node)
-      out.resize(cuts_per_node);
-    out.push_back(trivial);  // building block for parents
+    const std::size_t keep =
+        std::min(cand.size(), static_cast<std::size_t>(cuts_per_node));
+    std::copy_n(cand.begin(), keep, slot);
+    slot[keep] = trivial_cut(n);  // building block for parents
+    count_[n] = static_cast<std::uint32_t>(keep + 1);
   }
-  return cuts;
 }
-
-}  // namespace
-
-namespace {
 
 /// Number of interior cone nodes (strictly between `root` and the cut
 /// leaves) whose only fanout lies inside the cone — i.e. the nodes that
@@ -372,7 +421,7 @@ std::uint32_t dying_interior(const Aig& in,
 
 Aig rewrite_pass(const Aig& in, const RewriteOptions& opts) {
   const std::lock_guard<std::recursive_mutex> lock(synth_mutex());
-  const auto cuts = enumerate_cuts(in, opts.cuts_per_node);
+  const CutStore cuts(in, opts.cuts_per_node);
   const auto fanout = in.fanout_counts();
   FuncSynth& fs = func_synth();
 
@@ -397,7 +446,7 @@ Aig rewrite_pass(const Aig& in, const RewriteOptions& opts) {
     const Cut* best_cut = nullptr;
     std::array<AigLit, 4> best_leaves{};
     if (default_cost > 0) {
-      for (const Cut& c : cuts[n]) {
+      for (const Cut& c : cuts.of(n)) {
         if (c.size == 1 && c.leaves[0] == n) continue;  // self-cut
         std::array<AigLit, 4> leaves{kLitFalse, kLitFalse, kLitFalse,
                                      kLitFalse};
@@ -442,6 +491,10 @@ Aig refactor_pass(const Aig& in) {
 
   std::vector<std::uint32_t> cone;    // interior nodes (including root)
   std::vector<std::uint32_t> leaves;  // boundary nodes
+  // Cone truth tables by node id, reused across cones: a cone reads only
+  // its own nodes and leaves, each written before it is read, and the
+  // constant node, which stays 0.
+  std::vector<std::uint64_t> val(in.num_nodes(), 0);
   for (std::uint32_t n = 1; n < in.num_nodes(); ++n) {
     if (!in.is_and(n)) continue;
     const AigLit da = map_lit(in.fanin0(n));
@@ -473,12 +526,10 @@ Aig refactor_pass(const Aig& in) {
         // Truth table of the cone over its leaves (evaluate in id order;
         // fanins always precede their gate).
         std::sort(cone.begin(), cone.end());
-        std::unordered_map<std::uint32_t, std::uint64_t> val;
-        val[0] = 0;  // const node
         for (std::size_t i = 0; i < leaves.size(); ++i)
           val[leaves[i]] = TruthOps<std::uint64_t, 6>::var(static_cast<int>(i));
         auto lit_val = [&val](AigLit l) {
-          const std::uint64_t v = val.at(lit_node(l));
+          const std::uint64_t v = val[lit_node(l)];
           return lit_compl(l) ? ~v : v;
         };
         for (const std::uint32_t t : cone)

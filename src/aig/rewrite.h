@@ -10,6 +10,7 @@
 // `refactor_pass` and `resynthesize` hold one lock for their whole call,
 // and concurrent resyntheses run one at a time.
 
+#include <array>
 #include <cstdint>
 
 #include "aig/aig.h"
@@ -18,7 +19,9 @@ namespace orap::aig {
 
 struct RewriteOptions {
   int cuts_per_node = 6;
-  int passes = 3;       // rewrite iterations (stops early at fixpoint)
+  // Rewrite iterations before the refactor step; stops early after two
+  // consecutive passes that do not reduce the AND count.
+  int passes = 3;
   bool balance = true;  // run tree balancing first and last
 };
 
@@ -37,12 +40,24 @@ Aig balance(const Aig& in);
 /// larger-window complement to the 4-cut rewriter (ABC's `refactor`).
 Aig refactor_pass(const Aig& in);
 
-/// Full pipeline: balance, then rewrite passes to fixpoint, then balance.
+/// Full pipeline: balance, rewrite passes, one refactor pass and one more
+/// rewrite pass, then balance. Returns the smallest AIG seen.
 Aig resynthesize(const Aig& in, const RewriteOptions& opts = {});
 
 /// Resynthesized area/delay of a netlist (the Table I measurement): maps
 /// the netlist into an AIG, optimizes, and reports AND count + depth.
 AigStats resynthesized_stats(const Netlist& n,
                              const RewriteOptions& opts = {});
+
+namespace detail {
+
+/// Cut-merge kernel, exposed for tests. Re-expresses the 4-variable truth
+/// table `t` of a cut with `n` leaves on a superset leaf set in which its
+/// i-th leaf sits at position pos[i] (strictly increasing). `t` must not
+/// depend on variables n..3, which holds for every cut's table.
+std::uint16_t truth_stretch(std::uint16_t t, int n,
+                            const std::array<std::uint8_t, 4>& pos);
+
+}  // namespace detail
 
 }  // namespace orap::aig

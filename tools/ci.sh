@@ -379,12 +379,32 @@ for name in sorted({row.match(k).group(1) for k in keys}):
         f"{name}: FC(protected) < FC(original) breaks the Table II shape"
 EOF
 
+# Table I identity smoke: the resynthesis-based area and delay overheads
+# at 2% scale, at 1 and 4 pool threads. Every row's area and delay value
+# must be identical: the rewriter's memo is shared by all threads, and its
+# results must not depend on which circuits warmed it first.
+echo "==== [plain] table1_overhead area/delay identity smoke ===="
+T1_OUT1="$PREFIX/table1_t1.json"
+T1_OUT4="$PREFIX/table1_t4.json"
+"$PREFIX/bench/table1_overhead" --scale=0.02 --threads=1 \
+  --json="$T1_OUT1" >/dev/null
+"$PREFIX/bench/table1_overhead" --scale=0.02 --threads=4 \
+  --json="$T1_OUT4" >/dev/null
+python3 - "$T1_OUT1" "$T1_OUT4" <<'EOF'
+import json, re, sys
+a, b = (json.load(open(p))["results"] for p in sys.argv[1:3])
+keys = sorted(k for k in a if re.search(r"_(area|delay)_ovh_pct$", k))
+assert len(keys) == 13 * 2, f"expected 13 rows x 2 fields, got {len(keys)}"
+diff = [k for k in keys if json.dumps(a[k]) != json.dumps(b.get(k))]
+assert not diff, f"table1 area/delay differ between 1 and 4 threads: {diff}"
+EOF
+
 # One pass over the engine microbenchmarks (smallest size per bench,
 # minimal repetitions) so a bench that asserts or regresses into a hang
 # is caught here, not at release time.
 echo "==== [plain] engine_micro smoke ===="
 "$PREFIX/bench/engine_micro" --benchmark_min_time=0.01 \
-  --benchmark_filter='/(500|1000)$' >/dev/null
+  --benchmark_filter='/(500|1000)(/real_time)?$|^BM_Resynthesize$' >/dev/null
 
 if [[ "$RUN_TSAN" == "1" ]]; then
   CTEST_EXTRA=()
@@ -419,8 +439,10 @@ if [[ "$RUN_ASAN" == "1" ]]; then
   # Chaos corruption feeds adversarial bytes into the frame decoder —
   # heap-overread territory — so the chaos suites join too.
   # The concurrent resynthesis test joins too: a corrupted rewriter memo
-  # showed up as a double free.
-  [[ -n "$TSAN_FILTER" ]] && CTEST_EXTRA=(-R "$TSAN_FILTER|^Serve\.|^Checkpoint\.|^Batch\.|^SchemeZoo\.|^LockValidation\.|^Sps\.|^Removal\.|^Bypass\.|^Chaos\.|^Reconnect\.|^Resynth\.ConcurrentStatsMatchSerial$")
+  # showed up as a double free. So do the AIG kernel tests: the
+  # open-addressing strash, the flat cut store and the direct-indexed
+  # synthesis table all index raw arrays.
+  [[ -n "$TSAN_FILTER" ]] && CTEST_EXTRA=(-R "$TSAN_FILTER|^Serve\.|^Checkpoint\.|^Batch\.|^SchemeZoo\.|^LockValidation\.|^Sps\.|^Removal\.|^Bypass\.|^Chaos\.|^Reconnect\.|^Resynth\.ConcurrentStatsMatchSerial$|^AigStrash\.|^CutKernel\.|^Resynth\.OutputsPinned$")
   export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
   run_pass "$PREFIX-asan" "asan" -DORAP_SANITIZE=address
 fi
@@ -429,8 +451,9 @@ if [[ "$RUN_UBSAN" == "1" ]]; then
   CTEST_EXTRA=()
   # The Simd suite always joins a filtered UBSan pass: the multi-word
   # kernels and the block simulator are exactly where a shift/alignment
-  # mistake would hide.
-  [[ -n "$TSAN_FILTER" ]] && CTEST_EXTRA=(-R "$TSAN_FILTER|^Resilience\.|^Simd\.|^Serve\.|^Batch\.|^SchemeZoo\.|^LockValidation\.|^Sps\.|^Removal\.|^Bypass\.|^Chaos\.|^Reconnect\.")
+  # mistake would hide. The AIG kernel tests join for the same reason
+  # (truth-table variable swaps, strash key packing).
+  [[ -n "$TSAN_FILTER" ]] && CTEST_EXTRA=(-R "$TSAN_FILTER|^Resilience\.|^Simd\.|^Serve\.|^Batch\.|^SchemeZoo\.|^LockValidation\.|^Sps\.|^Removal\.|^Bypass\.|^Chaos\.|^Reconnect\.|^AigStrash\.|^CutKernel\.|^Resynth\.OutputsPinned$")
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
   run_pass "$PREFIX-ubsan" "ubsan" -DORAP_SANITIZE=undefined
 fi
