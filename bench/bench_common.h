@@ -1,6 +1,6 @@
 #pragma once
 // Shared plumbing for the table-reproduction benches: --full / --scale /
-// --threads / --portfolio / --json command-line handling, wall-clock
+// --threads / solver / oracle-resilience / --json command-line handling, wall-clock
 // timing, and a machine-readable JSON record per run so BENCH_*.json perf
 // trajectories can be tracked across commits.
 //
@@ -30,7 +30,6 @@ struct BenchArgs {
   bool full = false;
   std::size_t threads = 0;   // 0 = auto (ORAP_THREADS / hardware)
   std::size_t portfolio = 1; // CDCL portfolio size for SAT-bound benches
-  std::size_t cube = 0;      // cube-and-conquer split depth (2^D cubes)
   bool preprocess = false;   // SatELite-style CNF simplification
   bool incremental = false;  // persistent single-solver attack/ATPG core
   // Oracle-resilience knobs (attack benches; attacks/faulty_oracle.h).
@@ -45,7 +44,6 @@ struct BenchArgs {
 
   static constexpr std::size_t kMaxThreads = 1024;
   static constexpr std::size_t kMaxPortfolio = 64;
-  static constexpr std::size_t kMaxCube = 6;  // 2^6 = 64 cubes
   static constexpr std::size_t kMaxVotes = 63;  // odd cap keeps ties rare
 
   /// Strict unsigned parse: whole token, base 10, no sign characters.
@@ -105,13 +103,6 @@ struct BenchArgs {
           *error = std::string("invalid --portfolio value '") + (arg + 12) +
                    "' (want an integer in [1, " +
                    std::to_string(kMaxPortfolio) + "])";
-          return false;
-        }
-      } else if (std::strncmp(arg, "--cube=", 7) == 0) {
-        if (!parse_size(arg + 7, &a.cube) || a.cube > kMaxCube) {
-          *error = std::string("invalid --cube value '") + (arg + 7) +
-                   "' (want an integer in [0, " + std::to_string(kMaxCube) +
-                   "])";
           return false;
         }
       } else if (std::strcmp(arg, "--preprocess") == 0) {
@@ -200,16 +191,20 @@ struct BenchArgs {
   static void usage(std::FILE* os, const char* prog) {
     std::fprintf(
         os,
-        "usage: %s [--full | --scale=<0..1>] [--threads=N] [--portfolio=N] "
-        "[--cube=D] [--json=<path>]\n"
+        "usage: %s [--full | --scale=S] [--threads=N] [--portfolio=N]\n"
+        "       [--preprocess[=0|1]] [--incremental[=0|1]] "
+        "[--oracle-noise=P]\n"
+        "       [--oracle-fail-rate=P] [--oracle-votes=N] "
+        "[--oracle-retries=N]\n"
+        "       [--quarantine[=0|1]] [--deadline-ms=T] [--json=PATH] "
+        "[--help]\n"
         "  --full          paper-scale circuits (slow: minutes)\n"
-        "  --scale=S       shrink benchmark circuits to S of paper size\n"
+        "  --scale=S       scale benchmark circuits to S of paper size, "
+        "S in (0, 16]\n"
         "  --threads=N     thread-pool size (0 = auto: ORAP_THREADS or "
         "hardware concurrency)\n"
         "  --portfolio=N   CDCL portfolio size for SAT-solver-bound work "
         "(default 1)\n"
-        "  --cube=D        split every SAT query into 2^D cubes, conquered "
-        "in parallel (default 0)\n"
         "  --preprocess[=0|1]  SatELite-style CNF simplification before "
         "solving (default 0)\n"
         "  --incremental[=0|1] persistent single-solver attack/ATPG core "
@@ -226,7 +221,8 @@ struct BenchArgs {
         "(default 0)\n"
         "  --deadline-ms=T       wall-clock deadline per attack "
         "(default: none)\n"
-        "  --json=PATH     write a machine-readable result record\n",
+        "  --json=PATH     write a machine-readable result record\n"
+        "  --help, -h      print this message\n",
         prog);
   }
 
@@ -252,9 +248,6 @@ struct BenchArgs {
     std::printf("== %s ==\n", what);
     std::printf("threads: %zu\n", parallel_threads());
     if (portfolio > 1) std::printf("portfolio: %zu CDCL instances\n", portfolio);
-    if (cube > 0)
-      std::printf("cube: 2^%zu = %zu cubes per SAT query\n", cube,
-                  std::size_t{1} << cube);
     if (preprocess) std::printf("preprocess: CNF simplification on\n");
     if (incremental)
       std::printf("incremental: persistent single-solver core on\n");
@@ -336,7 +329,6 @@ class JsonReport {
     os << "{\"bench\": \"" << escaped(bench_) << "\", \"scale\": " << scale_buf
        << ", \"threads\": " << parallel_threads()
        << ", \"portfolio\": " << args_.portfolio
-       << ", \"cube\": " << args_.cube
        << ", \"preprocess\": " << (args_.preprocess ? 1 : 0)
        << ", \"incremental\": " << (args_.incremental ? 1 : 0);
     char rate_buf[32];

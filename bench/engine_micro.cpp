@@ -15,6 +15,7 @@
 #include "netlist/simulator.h"
 #include "attacks/encode_util.h"
 #include "sat/encode.h"
+#include "sat/portfolio.h"
 #include "util/simd.h"
 
 using namespace orap;
@@ -178,32 +179,69 @@ void BM_SatMiterFindsInjectedBug(benchmark::State& state) {
 }
 BENCHMARK(BM_SatMiterFindsInjectedBug)->Arg(500)->Arg(2000);
 
+/// The UNSAT equivalence proof the attacks actually run: two key-variant
+/// copies with cone sharing + equivalence scaffold, keys pinned equal.
+void add_scaffolded_key_equivalence(sat::ClauseSink& s,
+                                    const LockedCircuit& lc) {
+  LockedEncoder lenc(s, lc);
+  std::vector<sat::Var> x, k1, k2;
+  for (std::size_t i = 0; i < lc.num_data_inputs; ++i)
+    x.push_back(s.new_var());
+  for (std::size_t i = 0; i < lc.num_key_inputs; ++i)
+    k1.push_back(s.new_var());
+  for (std::size_t i = 0; i < lc.num_key_inputs; ++i)
+    k2.push_back(s.new_var());
+  const auto a = lenc.encode_full(x, k1);
+  const auto b = lenc.encode_key_variant(a, k2);
+  for (std::size_t i = 0; i < lc.num_key_inputs; ++i) {
+    s.add_clause({sat::Lit(k1[i], !lc.correct_key.get(i))});
+    s.add_clause({sat::Lit(k2[i], !lc.correct_key.get(i))});
+  }
+  lenc.encoder().force_not_equal(a.outputs, b.outputs);
+}
+
+LockedCircuit key_equivalence_lock(benchmark::State& state) {
+  return lock_weighted(
+      bench_circuit(static_cast<std::size_t>(state.range(0))), 24, 3, 5);
+}
+
 void BM_ScaffoldedKeyEquivalenceUnsat(benchmark::State& state) {
-  // The UNSAT equivalence proof the attacks actually run: two key-variant
-  // copies with cone sharing + equivalence scaffold, keys pinned equal.
-  const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));
-  const LockedCircuit lc = lock_weighted(n, 24, 3, 5);
+  const LockedCircuit lc = key_equivalence_lock(state);
   for (auto _ : state) {
     sat::Solver s;
-    LockedEncoder lenc(s, lc);
-    std::vector<sat::Var> x, k1, k2;
-    for (std::size_t i = 0; i < lc.num_data_inputs; ++i)
-      x.push_back(s.new_var());
-    for (std::size_t i = 0; i < lc.num_key_inputs; ++i)
-      k1.push_back(s.new_var());
-    for (std::size_t i = 0; i < lc.num_key_inputs; ++i)
-      k2.push_back(s.new_var());
-    const auto a = lenc.encode_full(x, k1);
-    const auto b = lenc.encode_key_variant(a, k2);
-    for (std::size_t i = 0; i < lc.num_key_inputs; ++i) {
-      s.add_clause({sat::Lit(k1[i], !lc.correct_key.get(i))});
-      s.add_clause({sat::Lit(k2[i], !lc.correct_key.get(i))});
-    }
-    lenc.encoder().force_not_equal(a.outputs, b.outputs);
+    add_scaffolded_key_equivalence(s, lc);
     benchmark::DoNotOptimize(s.solve());
   }
 }
 BENCHMARK(BM_ScaffoldedKeyEquivalenceUnsat)->Arg(500)->Arg(2000);
+
+// The same query under the two default-off solver knobs (--portfolio and
+// --preprocess), so the wins that justify them can be re-measured.
+// The portfolio races its instances on the pool: read real time.
+void BM_ScaffoldedKeyEquivalenceUnsatPortfolio4(benchmark::State& state) {
+  const LockedCircuit lc = key_equivalence_lock(state);
+  for (auto _ : state) {
+    sat::PortfolioSolver s({.size = 4});
+    add_scaffolded_key_equivalence(s, lc);
+    benchmark::DoNotOptimize(s.solve());
+  }
+}
+BENCHMARK(BM_ScaffoldedKeyEquivalenceUnsatPortfolio4)
+    ->Arg(500)
+    ->Arg(2000)
+    ->UseRealTime();
+
+void BM_ScaffoldedKeyEquivalenceUnsatPreprocess(benchmark::State& state) {
+  const LockedCircuit lc = key_equivalence_lock(state);
+  for (auto _ : state) {
+    sat::Solver s;
+    add_scaffolded_key_equivalence(s, lc);
+    // Nothing is added after the miter, so every variable may go.
+    benchmark::DoNotOptimize(s.simplify() ? s.solve()
+                                          : sat::Solver::Result::kUnsat);
+  }
+}
+BENCHMARK(BM_ScaffoldedKeyEquivalenceUnsatPreprocess)->Arg(500)->Arg(2000);
 
 void BM_ScanOracleQuery(benchmark::State& state) {
   GenSpec spec;

@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
     opts.max_iterations = 4096;
     opts.portfolio_size = args.portfolio;
     opts.preprocess = args.preprocess;
-    opts.cube_depth = static_cast<std::uint32_t>(args.cube);
     opts.incremental = args.incremental;
     c.r = sat_attack(c.lc, sat_oracle, opts);
 

@@ -55,10 +55,6 @@ struct AtpgOptions {
   /// good/faulty miter before solving. PI and PO variables are frozen so
   /// the test pattern stays readable from the model.
   bool preprocess = false;
-  /// > 0 splits every fault query into 2^depth cubes via deterministic
-  /// lookahead and conquers them in parallel (sat/cube.h); the conflict
-  /// budget becomes a TOTAL per query, split across cubes.
-  std::uint32_t cube_depth = 0;
   /// Wall-clock deadline for the whole ATPG phase; < 0 = none. Once it
   /// expires, the in-flight fault query aborts (solver-internal check) and
   /// every not-yet-attempted fault is counted as aborted. Timing-dependent,
@@ -92,12 +88,6 @@ struct AtpgResult {
   std::size_t aborted = 0;
   std::vector<BitVec> patterns;  // ATPG-phase patterns only
 
-  // Cube-and-conquer accounting over the ATPG phase (0 when cube_depth
-  // is 0 — see AtpgOptions::cube_depth).
-  std::uint64_t cubes = 0;
-  std::uint64_t cubes_refuted = 0;
-  double cube_wall_ms = 0.0;
-
   // Incremental-solver accounting. solver_rounds / clauses_carried come
   // from the solver (learnts alive at each solve() entry, summed);
   // encode_reused counts good-copy gates a fault query shared instead of
@@ -125,14 +115,13 @@ struct AtpgResult {
 /// Generates a test pattern for one fault (nullopt = redundant or
 /// aborted; `aborted_out` distinguishes the two). portfolio_size > 1
 /// races diversified solver instances on the good/faulty miter;
-/// `preprocess` simplifies the miter CNF before the solve; cube_depth > 0
-/// splits the query into 2^depth cubes. `stats_out` (optional) receives
-/// the query's summed solver stats, cube counters included. `deadline`
+/// `preprocess` simplifies the miter CNF before the solve. `stats_out`
+/// (optional) receives the query's summed solver stats. `deadline`
 /// (optional) bounds the query by wall clock: expiry aborts it.
 std::optional<BitVec> generate_test(
     const Netlist& n, const Fault& f, std::int64_t conflict_budget,
     bool* aborted_out, std::size_t portfolio_size = 1, bool preprocess = false,
-    std::uint32_t cube_depth = 0, sat::SolverStats* stats_out = nullptr,
+    sat::SolverStats* stats_out = nullptr,
     const std::chrono::steady_clock::time_point* deadline = nullptr);
 
 /// The full Table II flow: collapse faults, pseudorandom phase with

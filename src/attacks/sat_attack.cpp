@@ -8,8 +8,8 @@
 
 #include "attacks/encode_util.h"
 #include "netlist/simulator.h"
-#include "sat/cube.h"
 #include "sat/encode.h"
+#include "sat/portfolio.h"
 #include "sat/simplify.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -19,19 +19,11 @@ namespace orap {
 
 namespace {
 
-using sat::CubeSolver;
 using sat::Encoder;
 using sat::Lit;
+using sat::PortfolioSolver;
 using sat::Solver;
 using sat::Var;
-
-sat::CubeOptions cube_options(std::size_t portfolio_size,
-                              std::uint32_t cube_depth) {
-  sat::CubeOptions co;
-  co.depth = cube_depth;
-  co.portfolio.size = portfolio_size == 0 ? 1 : portfolio_size;
-  return co;
-}
 
 /// One recorded oracle I/O pair. With quarantine on, `sel` guards every
 /// clause the pair contributed, so assuming pos(sel) binds it and a unit
@@ -46,7 +38,7 @@ struct PairRecord {
 /// Shared state of the DIP loop.
 struct AttackContext {
   const LockedCircuit& lc;
-  CubeSolver solver;
+  PortfolioSolver solver;
   LockedEncoder lenc;
   std::vector<Var> x;    // shared data-input vars of the miter
   std::vector<Var> k1;   // key copy 1
@@ -79,11 +71,11 @@ struct AttackContext {
   std::chrono::steady_clock::time_point deadline{};
 
   AttackContext(const LockedCircuit& locked, Oracle& orc,
-                std::size_t portfolio_size, std::uint32_t cube_depth,
+                std::size_t portfolio_size,
                 const OracleResilienceOptions& resilience,
                 std::int64_t deadline_ms, bool incremental = false)
       : lc(locked),
-        solver(cube_options(portfolio_size, cube_depth)),
+        solver(sat::PortfolioOptions{.size = portfolio_size}),
         lenc(solver, locked),
         oracle(&orc),
         res(resilience) {
@@ -464,7 +456,7 @@ struct AttackContext {
         static_cast<std::size_t>(solver.stats().eliminated_vars);
   }
 
-  /// Copies formula-size / preprocessing / cube / resilience counters into
+  /// Copies formula-size / preprocessing / resilience counters into
   /// the result.
   void fill_solver_stats(SatAttackResult* result) const {
     const sat::SolverStats st = solver.stats();
@@ -477,9 +469,6 @@ struct AttackContext {
     result->eliminated_vars = st.eliminated_vars;
     result->removed_clauses = st.simplify_removed_clauses;
     result->simplify_ms = st.simplify_ms;
-    result->cubes = st.cubes;
-    result->cubes_refuted = st.cubes_refuted;
-    result->cube_wall_ms = st.cube_wall_ms;
     result->oracle_retries = oracle_retries;
     result->vote_queries = vote_queries;
     result->evicted_pairs = evicted_pairs;
@@ -798,8 +787,8 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
   ORAP_CHECK(oracle.num_inputs() == locked.num_data_inputs);
   ORAP_CHECK(oracle.num_outputs() == locked.netlist.num_outputs());
 
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.cube_depth,
-                    opts.resilience, opts.deadline_ms, opts.incremental);
+  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
+                    opts.deadline_ms, opts.incremental);
   ctx.batch = opts.oracle_batch;
   ctx.dip_batch = opts.dip_batch < 1 ? 1 : opts.dip_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
@@ -825,7 +814,7 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
   SatAttackResult result;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.cube_stats().solve_wall_ms;
+    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;
@@ -894,8 +883,8 @@ SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
 
 SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
                               const AppSatOptions& opts) {
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.cube_depth,
-                    opts.resilience, opts.deadline_ms, opts.incremental);
+  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
+                    opts.deadline_ms, opts.incremental);
   ctx.batch = opts.oracle_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
   ctx.k1 = fresh_vars(ctx.solver, ctx.nk());
@@ -920,7 +909,7 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
   std::size_t clean_rounds = 0;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.cube_stats().solve_wall_ms;
+    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;
@@ -1054,8 +1043,8 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
 
 SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
                                   const SatAttackOptions& opts) {
-  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.cube_depth,
-                    opts.resilience, opts.deadline_ms, opts.incremental);
+  AttackContext ctx(locked, oracle, opts.portfolio_size, opts.resilience,
+                    opts.deadline_ms, opts.incremental);
   ctx.batch = opts.oracle_batch;
   ctx.dip_batch = opts.dip_batch < 1 ? 1 : opts.dip_batch;
   ctx.x = fresh_vars(ctx.solver, ctx.nd());
@@ -1065,7 +1054,7 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
   auto k4 = fresh_vars(ctx.solver, ctx.nk());
   ctx.act = ctx.solver.new_var();
   ctx.key_sets = {ctx.k1, ctx.k2, k3, k4};
-  CubeSolver& s = ctx.solver;
+  PortfolioSolver& s = ctx.solver;
   Encoder& e = ctx.enc();
 
   const auto a = ctx.lenc.encode_full(ctx.x, ctx.k1);
@@ -1104,7 +1093,7 @@ SatAttackResult double_dip_attack(const LockedCircuit& locked, Oracle& oracle,
   SatAttackResult result;
   const auto finish = [&ctx, &result, &oracle] {
     result.oracle_queries = oracle.query_count();
-    result.solver_wall_ms = ctx.solver.cube_stats().solve_wall_ms;
+    result.solver_wall_ms = ctx.solver.portfolio_stats().solve_wall_ms;
     ctx.fill_solver_stats(&result);
   };
   std::size_t repair_rounds = 0;

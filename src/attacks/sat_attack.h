@@ -66,11 +66,6 @@ struct SatAttackOptions {
   /// (data inputs, key vectors, activation literal, miter outputs, encoder
   /// constants) so every later add_io_constraint stays expressible.
   bool preprocess = false;
-  /// > 0 splits every SAT query into 2^depth cubes via deterministic
-  /// lookahead and conquers them in parallel (sat/cube.h); composes with
-  /// portfolio_size (one portfolio per cube) and preprocess. A finite
-  /// conflict_budget is the TOTAL for the query, split across cubes.
-  std::uint32_t cube_depth = 0;
   /// Incremental single-solver mode: per-DIP oracle constraints are
   /// constant-folded against the key-independent simulation before they
   /// reach the persistent miter solver (LockedEncoder::set_fold_constants),
@@ -78,7 +73,7 @@ struct SatAttackOptions {
   /// carry further. Equisatisfiable over the key variables but a different
   /// CNF, hence a different solver trajectory — defaults off so historical
   /// runs replay bit-identically. Results stay deterministic for any fixed
-  /// incremental setting across threads/portfolio/cube.
+  /// incremental setting across threads/portfolio.
   bool incremental = false;
   /// Attack-side oracle batching: ship all majority-vote replicas of a
   /// logical query, the quarantine re-query set, and the degraded
@@ -137,11 +132,6 @@ struct SatAttackResult {
   std::uint64_t removed_clauses = 0;   // net clause-count reduction
   double simplify_ms = 0.0;            // time spent preprocessing
 
-  // Cube-and-conquer accounting (all 0 when cube_depth == 0).
-  std::uint64_t cubes = 0;          // cubes enumerated across all queries
-  std::uint64_t cubes_refuted = 0;  // cubes individually proven UNSAT
-  double cube_wall_ms = 0.0;        // wall time inside split solves
-
   // Incremental-miter accounting. incremental_rounds / clauses_carried are
   // counted by the solver on every solve() entry (learnt clauses persist
   // across DIP iterations in all modes); encode_reused counts cone gates
@@ -181,7 +171,6 @@ struct AppSatOptions {
   std::uint64_t seed = 1;
   std::size_t portfolio_size = 1;    // as in SatAttackOptions
   bool preprocess = false;           // as in SatAttackOptions
-  std::uint32_t cube_depth = 0;      // as in SatAttackOptions
   std::int64_t deadline_ms = -1;     // as in SatAttackOptions
   bool incremental = false;          // as in SatAttackOptions
   /// As in SatAttackOptions: batches each random-sampling round's

@@ -103,7 +103,6 @@ std::uint64_t job_config_hash(const AttackJob& job) {
   hash_u64(&buf, res.max_evictions);
   hash_u64(&buf, res.degraded_samples);
   hash_u64(&buf, app ? job.appsat.portfolio_size : job.sat.portfolio_size);
-  hash_u64(&buf, app ? job.appsat.cube_depth : job.sat.cube_depth);
   hash_u64(&buf, (app ? job.appsat.preprocess : job.sat.preprocess) ? 1 : 0);
   hash_u64(&buf, (app ? job.appsat.incremental : job.sat.incremental) ? 1 : 0);
   // Batching changes the oracle-traffic trajectory (flush boundaries and,

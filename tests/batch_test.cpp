@@ -210,19 +210,16 @@ TEST(Batch, BudgetedOracleChargesOnlyTheFittingPrefix) {
 TEST(Batch, AttackBatchedMatchesSerialAcrossGrid) {
   // With oracle_batch on (dip_batch = 1) and no retryable errors firing,
   // the attack trajectory is byte-identical to serial execution — across
-  // thread counts, portfolio, cube, and majority votes.
+  // thread counts, portfolio, and majority votes.
   const LockedCircuit lc = multi_dip_lock();
   struct Config {
     std::size_t threads, portfolio, votes;
-    std::uint32_t cube;
   };
-  const Config grid[] = {
-      {1, 1, 1, 0}, {3, 2, 1, 0}, {3, 1, 1, 2}, {1, 1, 3, 0}, {3, 2, 3, 0}};
+  const Config grid[] = {{1, 1, 1}, {3, 2, 1}, {1, 1, 3}, {3, 2, 3}};
   for (const Config& cfg : grid) {
     set_parallel_threads(cfg.threads);
     SatAttackOptions opts;
     opts.portfolio_size = cfg.portfolio;
-    opts.cube_depth = cfg.cube;
     opts.resilience.votes = cfg.votes;
 
     GoldenOracle serial_oracle(lc);

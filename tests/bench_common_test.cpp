@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -95,6 +96,42 @@ TEST(BenchArgs, RejectsUnknownFlags) {
   EXPECT_NE(e.find("unknown"), std::string::npos);
   must_fail({"--bogus"});
   must_fail({"extra-positional"});
+  // A deleted knob's flag must fail loudly, not be silently ignored.
+  EXPECT_NE(must_fail({"--cube=2"}).find("unknown"), std::string::npos);
+}
+
+TEST(BenchArgs, UsageSynopsisListsEveryAcceptedFlag) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  BenchArgs::usage(f, "bench");
+  std::rewind(f);
+  std::string text;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f))
+    text += static_cast<char>(c);
+  std::fclose(f);
+  // The synopsis is everything before the first per-flag line.
+  const std::string synopsis = text.substr(0, text.find("\n  --"));
+  const std::vector<std::pair<const char*, const char*>> flags = {
+      {"--full", "--full"},
+      {"--scale=", "--scale=0.5"},
+      {"--threads=", "--threads=2"},
+      {"--portfolio=", "--portfolio=2"},
+      {"--preprocess", "--preprocess=1"},
+      {"--incremental", "--incremental=1"},
+      {"--oracle-noise=", "--oracle-noise=0.1"},
+      {"--oracle-fail-rate=", "--oracle-fail-rate=0.1"},
+      {"--oracle-votes=", "--oracle-votes=3"},
+      {"--oracle-retries=", "--oracle-retries=2"},
+      {"--quarantine", "--quarantine=1"},
+      {"--deadline-ms=", "--deadline-ms=100"},
+      {"--json=", "--json=/tmp/r.json"},
+      {"--help", "--help"},
+  };
+  for (const auto& [name, sample] : flags) {
+    EXPECT_NE(synopsis.find(name), std::string::npos) << name;
+    must_parse({sample});
+  }
+  EXPECT_EQ(synopsis.find("--cube"), std::string::npos);
 }
 
 TEST(BenchArgs, RejectsEmptyValues) {

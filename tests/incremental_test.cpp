@@ -5,7 +5,7 @@
 //       functionally correct key / the same fault classification) as the
 //       default rebuild-per-query mode, and
 //   (2) within one incremental setting the result is bit-identical across
-//       the threads x portfolio x cube grid, and
+//       the threads x portfolio grid, and
 //   (3) the new accounting (incremental_rounds / clauses_carried /
 //       encode_reused) actually counts something.
 
@@ -36,15 +36,13 @@ Netlist small_circuit(std::uint64_t seed, std::size_t gates = 300) {
 
 struct GridPoint {
   std::size_t threads, portfolio;
-  std::uint32_t cube;
 };
 
 std::vector<GridPoint> config_grid() {
   std::vector<GridPoint> grid;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
     for (const std::size_t portfolio : {std::size_t{1}, std::size_t{3}})
-      for (const std::uint32_t cube : {0u, 2u})
-        grid.push_back({threads, portfolio, cube});
+      grid.push_back({threads, portfolio});
   return grid;
 }
 
@@ -99,7 +97,7 @@ TEST(Incremental, AppSatAndDoubleDipRecoverKeysIncrementally) {
 
 TEST(Incremental, SatAttackBitIdenticalAcrossGridPerSetting) {
   // Within one incremental setting the whole trajectory must reproduce at
-  // every threads x portfolio x cube point; across the two settings the
+  // every threads x portfolio point; across the two settings the
   // CNF differs (folded vs full), so only the outcome is compared.
   const Netlist n = small_circuit(84);
   const LockedCircuit lc = lock_weighted(n, 14, 3, 85);
@@ -111,7 +109,6 @@ TEST(Incremental, SatAttackBitIdenticalAcrossGridPerSetting) {
       SatAttackOptions opts;
       opts.incremental = inc;
       opts.portfolio_size = g.portfolio;
-      opts.cube_depth = g.cube;
       results.push_back(sat_attack(lc, oracle, opts));
     }
     set_parallel_threads(0);

@@ -18,7 +18,7 @@
 #include "chip/chip.h"
 #include "gen/circuit_gen.h"
 #include "locking/locking.h"
-#include "sat/cube.h"
+#include "sat/portfolio.h"
 #include "sat/solver.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -460,10 +460,7 @@ TEST(Resilience, ExpiredSolverDeadlineReturnsUnknown) {
     EXPECT_EQ(s.solve(), sat::Solver::Result::kSat);
   }
   {
-    sat::CubeOptions co;
-    co.depth = 2;
-    co.portfolio.size = 3;
-    sat::CubeSolver s(co);
+    sat::PortfolioSolver s({.size = 3});
     const sat::Var a = s.new_var();
     const sat::Var b = s.new_var();
     s.add_clause({sat::pos(a), sat::pos(b)});

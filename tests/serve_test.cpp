@@ -2,7 +2,7 @@
 // malformed-input rejection, OracleServer + RemoteOracle over a real fd
 // transport (attacks recover the identical key through the wire), and the
 // checkpoint/resume layer (attacks/checkpoint.h): interrupting an attack
-// at several DIP counts across the threads x portfolio x cube grid and
+// at several DIP counts across the threads x portfolio grid and
 // resuming to a byte-identical final key, status, and counters, plus
 // rejection of corrupted, truncated, and foreign checkpoint files.
 // Every test is named Serve.* or Checkpoint.* so CI's sanitizer legs can
@@ -517,14 +517,12 @@ TEST(Checkpoint, ResumesByteIdenticalAcrossGridAndDipCounts) {
 
   struct Config {
     std::size_t threads, portfolio;
-    std::uint32_t cube;
   };
-  const Config grid[] = {{1, 1, 0}, {3, 2, 0}, {3, 1, 2}};
+  const Config grid[] = {{1, 1}, {3, 2}};
   for (const Config& cfg : grid) {
     set_parallel_threads(cfg.threads);
     SatAttackOptions opts;
     opts.portfolio_size = cfg.portfolio;
-    opts.cube_depth = cfg.cube;
 
     GoldenOracle g_ref(lc);
     CheckpointedOracle ref(g_ref, /*config_hash=*/77);
@@ -559,7 +557,7 @@ TEST(Checkpoint, ResumesByteIdenticalAcrossGridAndDipCounts) {
       EXPECT_FALSE(res.diverged());
       EXPECT_EQ(res.transcript_size(), total)
           << "threads=" << cfg.threads << " portfolio=" << cfg.portfolio
-          << " cube=" << cfg.cube << " kill_at=" << kill_at;
+          << " kill_at=" << kill_at;
     }
   }
   set_parallel_threads(0);

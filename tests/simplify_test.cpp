@@ -18,6 +18,7 @@
 #include "sat/portfolio.h"
 #include "sat/simplify.h"
 #include "sat/solver.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace orap::sat {
@@ -474,6 +475,38 @@ TEST(PortfolioSimplify, DeterministicAcrossRuns) {
   run(&m2);
   for (std::size_t i = 0; i < m1.size(); ++i)
     EXPECT_EQ(m1.get(i), m2.get(i)) << "bit " << i;
+}
+
+TEST(PortfolioSimplify, AttackBitIdenticalAtOneAndFourThreads) {
+  // Portfolio racing and miter preprocessing together must keep the
+  // determinism contract: the same key and DIP count at any pool size.
+  GenSpec spec;
+  spec.num_inputs = 20;
+  spec.num_outputs = 16;
+  spec.num_gates = 300;
+  spec.depth = 8;
+  spec.seed = 44;
+  const Netlist n = generate_circuit(spec);
+  const LockedCircuit lc = lock_weighted(n, 12, 3, 45);
+  SatAttackResult results[2];
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_parallel_threads(threads);
+    GoldenOracle oracle(lc);
+    SatAttackOptions opts;
+    opts.portfolio_size = 2;
+    opts.preprocess = true;
+    SatAttackResult& r = results[threads == 1 ? 0 : 1];
+    r = sat_attack(lc, oracle, opts);
+    ASSERT_EQ(r.status, SatAttackResult::Status::kKeyFound)
+        << "threads " << threads;
+    EXPECT_GT(r.eliminated_vars, 0u);
+    GoldenOracle verify(lc);
+    EXPECT_EQ(verify_key_against_oracle(lc, r.key, verify, 64, 5), 0u);
+  }
+  set_parallel_threads(0);
+  EXPECT_EQ(results[0].key, results[1].key);
+  EXPECT_EQ(results[0].iterations, results[1].iterations);
+  EXPECT_EQ(results[0].oracle_queries, results[1].oracle_queries);
 }
 
 }  // namespace

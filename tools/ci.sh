@@ -68,24 +68,25 @@ PRE_OUT="$PREFIX/attack_suite_pre.json"
 python3 -m json.tool "$PRE_OUT" >/dev/null
 grep -q '"preprocess": 1' "$PRE_OUT"
 
-# Cube-and-conquer determinism smoke: the same attack suite with every
-# SAT query split into 4 cubes must produce a byte-identical "results"
-# object at 1 and 4 pool threads (the results carry statuses, DIP counts
-# and cube counters — no timing — so any divergence is a real
-# determinism regression).
-echo "==== [plain] attack suite --cube determinism smoke ===="
-CUBE_OUT1="$PREFIX/attack_suite_cube_t1.json"
-CUBE_OUT4="$PREFIX/attack_suite_cube_t4.json"
-"$PREFIX/bench/attack_suite" --scale=0.05 --cube=2 --threads=1 \
-  --json="$CUBE_OUT1" >/dev/null
-"$PREFIX/bench/attack_suite" --scale=0.05 --cube=2 --threads=4 \
-  --json="$CUBE_OUT4" >/dev/null
-python3 - "$CUBE_OUT1" "$CUBE_OUT4" <<'EOF'
+# Portfolio determinism smoke: the same attack suite with every SAT query
+# raced by 2 diversified CDCL instances must produce a byte-identical
+# "results" object at 1 and 4 pool threads (the results carry statuses,
+# DIP counts and solver counters — no timing — so any divergence is a
+# real determinism regression).
+echo "==== [plain] attack suite --portfolio determinism smoke ===="
+PORT_OUT1="$PREFIX/attack_suite_portfolio_t1.json"
+PORT_OUT4="$PREFIX/attack_suite_portfolio_t4.json"
+"$PREFIX/bench/attack_suite" --scale=0.05 --portfolio=2 --threads=1 \
+  --json="$PORT_OUT1" >/dev/null
+"$PREFIX/bench/attack_suite" --scale=0.05 --portfolio=2 --threads=4 \
+  --json="$PORT_OUT4" >/dev/null
+python3 - "$PORT_OUT1" "$PORT_OUT4" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
-assert a["cube"] == b["cube"] == 2, "cube flag missing from the record"
+assert a["portfolio"] == b["portfolio"] == 2, \
+    "portfolio flag missing from the record"
 assert a["results"] == b["results"], \
-    "attack_suite --cube=2 results differ between 1 and 4 threads"
+    "attack_suite --portfolio=2 results differ between 1 and 4 threads"
 EOF
 
 # Incremental-core determinism smoke: the persistent single-solver attack
@@ -137,7 +138,7 @@ EOF
 # bench and require the SFLL-HD(k,h) literature laws (resilience
 # 2^k/C(k,h) falls as h -> k/2, error rate rises, resilience grows with k).
 echo "==== [plain] scheme zoo smoke ===="
-python3 - "$CUBE_OUT1" <<'EOF'
+python3 - "$PORT_OUT1" <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))["results"]
 assert any("sfll" in k for k in r) and any("kgate" in k for k in r), \
@@ -160,16 +161,6 @@ for flag in ("zoo_sfll_resilience_falls_with_h", "zoo_sfll_err_rises_with_h",
 assert r["zoo_sfll_k10_h0_dips"] > 100, "TTLock row lost its SAT resilience"
 assert r["zoo_weighted_dips"] <= 4, "weighted locking should fall in a few DIPs"
 EOF
-
-# Cube-scaling baseline record: dip_scaling with --cube=2, the same grid
-# that produced BENCH_cube_scaling.json (wall times vary per machine; the
-# JSON just has to be well-formed and carry the cube counters).
-echo "==== [plain] dip_scaling --cube baseline smoke ===="
-CUBE_SCALING="$PREFIX/BENCH_cube_scaling.json"
-"$PREFIX/bench/dip_scaling" --scale=0.05 --cube=2 \
-  --json="$CUBE_SCALING" >/dev/null
-python3 -m json.tool "$CUBE_SCALING" >/dev/null
-grep -q '"cubes":' "$CUBE_SCALING"
 
 # Oracle-resilience smoke: the noise x votes x quarantine sweep must run
 # end-to-end (baseline dies on a noisy oracle, quarantine recovers) and
@@ -409,7 +400,7 @@ echo "==== [plain] engine_micro smoke ===="
 if [[ "$RUN_TSAN" == "1" ]]; then
   CTEST_EXTRA=()
   # The budget-path and oracle-resilience regression suites always run
-  # under TSan (their grids span threads x portfolio x cube, exactly the
+  # under TSan (their grids span threads x portfolio, exactly the
   # surface where a data race would corrupt budget accounting or the
   # quarantine repair loop), even when a filter trims the rest.
   # The serve suites join too: the oracle server runs on its own thread

@@ -19,7 +19,9 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -35,8 +37,8 @@
 
 #include "atpg/atpg.h"
 #include "chip/chip.h"
-#include "sat/cube.h"
 #include "sat/dimacs.h"
+#include "sat/portfolio.h"
 #include "attacks/checkpoint.h"
 #include "attacks/faulty_oracle.h"
 #include "attacks/oracle.h"
@@ -88,6 +90,13 @@ struct Args {
     return a;
   }
 
+  /// Dies on an option `spec` does not list (besides the global --threads)
+  /// or a value that does not parse, so a typo fails before any work
+  /// instead of silently running with a default. In `spec` a name ending
+  /// in '#' takes an unsigned integer, one ending in '%' a finite number,
+  /// and any other name free text (or nothing).
+  void validate(const std::string& cmd, const std::string& spec) const;
+
   std::string get(const std::string& key, const std::string& fallback) const {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
@@ -106,6 +115,29 @@ struct Args {
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "orap: %s\n", msg.c_str());
   std::exit(1);
+}
+
+void Args::validate(const std::string& cmd, const std::string& spec) const {
+  std::map<std::string, char> kinds;
+  std::istringstream words("threads# " + spec);
+  for (std::string w; words >> w;) {
+    const char kind = w.back() == '#' || w.back() == '%' ? w.back() : ' ';
+    if (kind != ' ') w.pop_back();
+    kinds[w] = kind;
+  }
+  for (const auto& [name, value] : options) {
+    const std::string flag = (name.size() == 1 ? "-" : "--") + name;
+    const auto it = kinds.find(name);
+    if (it == kinds.end()) die(cmd + ": unknown option " + flag);
+    char* end = nullptr;
+    const bool num = !value.empty() && value.size() < 20 &&
+                     value.find_first_not_of("0123456789") == std::string::npos;
+    const bool rate = !value.empty() &&
+                      std::isfinite(std::strtod(value.c_str(), &end)) &&
+                      *end == '\0';
+    if ((it->second == '#' && !num) || (it->second == '%' && !rate))
+      die(cmd + ": invalid value '" + value + "' for " + flag);
+  }
 }
 
 // Graceful drain for the serving commands: SIGTERM/SIGINT raise a flag the
@@ -219,7 +251,7 @@ int cmd_gen(const Args& a) {
   Netlist n;
   if (a.has("profile")) {
     const auto& p = benchmark_profile(a.get("profile", ""));
-    const double scale = std::stod(a.get("scale", "1.0"));
+    const double scale = a.get_rate("scale", 1.0);
     n = make_benchmark(p, scale, a.get_num("seed", 0));
   } else {
     GenSpec spec;
@@ -322,7 +354,6 @@ int cmd_atpg(const Args& a) {
   opts.seed = a.get_num("seed", 1);
   opts.portfolio_size = a.get_num("portfolio", 1);
   opts.preprocess = a.get_num("preprocess", 0) != 0;
-  opts.cube_depth = static_cast<std::uint32_t>(a.get_num("cube", 0));
   opts.incremental = a.get_num("incremental", 0) != 0;
   if (a.has("deadline-ms"))
     opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
@@ -532,7 +563,6 @@ int cmd_attack(const Args& a) {
                         : -1;
     opts.portfolio_size = a.get_num("portfolio", 1);
     opts.preprocess = a.get_num("preprocess", 0) != 0;
-    opts.cube_depth = static_cast<std::uint32_t>(a.get_num("cube", 0));
     opts.incremental = a.get_num("incremental", 0) != 0;
     if (a.has("deadline-ms"))
       opts.deadline_ms = static_cast<std::int64_t>(a.get_num("deadline-ms", 0));
@@ -551,7 +581,6 @@ int cmd_attack(const Args& a) {
       app_opts.conflict_budget = opts.conflict_budget;
       app_opts.portfolio_size = opts.portfolio_size;
       app_opts.preprocess = opts.preprocess;
-      app_opts.cube_depth = opts.cube_depth;
       app_opts.deadline_ms = opts.deadline_ms;
       app_opts.incremental = opts.incremental;
       app_opts.oracle_batch = opts.oracle_batch;
@@ -999,14 +1028,11 @@ int cmd_protect(const Args& a) {
 int cmd_solve(const Args& a) {
   if (a.positional.empty())
     die("usage: orap solve <file.cnf> [--budget N] [--portfolio N] "
-        "[--cube D] [--preprocess]");
+        "[--preprocess] [--deadline-ms T]");
   std::ifstream is(a.positional[0]);
   if (!is.good()) die("cannot read " + a.positional[0]);
   const sat::Cnf cnf = sat::read_dimacs(is);
-  sat::CubeOptions co;
-  co.depth = static_cast<std::uint32_t>(a.get_num("cube", 0));
-  co.portfolio.size = a.get_num("portfolio", 1);
-  sat::CubeSolver s(co);
+  sat::PortfolioSolver s({.size = a.get_num("portfolio", 1)});
   if (!cnf.load_into(s)) {
     std::puts("s UNSATISFIABLE");
     return 20;
@@ -1064,12 +1090,11 @@ void usage() {
       "  orap resynth <in.bench> [-o out.bench]\n"
       "  orap hd      <locked.bench> --key key.txt [--words N] [--keys N]\n"
       "  orap atpg    <in.bench> [--random-words N] [--budget B] "
-      "[--portfolio N] [--cube D] [--preprocess] [--incremental] "
-      "[--deadline-ms T]\n"
+      "[--portfolio N] [--preprocess] [--incremental] [--deadline-ms T]\n"
       "  orap attack  <locked.bench> --key key.txt [--kind "
       "sat|appsat|doubledip|hillclimb] [--oracle golden|orap] "
-      "[--budget B] [--portfolio N] [--cube D] [--preprocess] "
-      "[--incremental] [--deadline-ms T]\n"
+      "[--budget B] [--portfolio N] [--preprocess] [--incremental] "
+      "[--deadline-ms T]\n"
       "               [--oracle-noise P] [--oracle-fail-rate P] "
       "[--oracle-retries N] [--oracle-votes N] [--quarantine] "
       "[--oracle-batch] [--dip-batch K]\n"
@@ -1091,20 +1116,18 @@ void usage() {
       "[--json out.json] [--job-retries N] [--job-retry-backoff-ms B]\n"
       "  orap protect <locked.bench> --key key.txt [--variant "
       "basic|modified] — build the OraP chip, report costs\n"
-      "  orap solve   <file.cnf> [--budget N] [--portfolio N] [--cube D] "
-      "[--preprocess] [--deadline-ms T] — standalone DIMACS SAT solver\n"
+      "  orap solve   <file.cnf> [--budget N] [--portfolio N] [--preprocess] "
+      "[--deadline-ms T] — standalone DIMACS SAT solver\n"
       "  orap export  <in.bench> [-o out.v]\n"
       "\n"
       "Global: --threads N sets the parallel pool size (0 = auto; also "
       "settable via ORAP_THREADS).\n--portfolio N races N diversified CDCL "
-      "instances per SAT query in deterministic\nlockstep epochs. --cube D "
-      "splits every SAT query into 2^D cubes by lookahead and\nconquers "
-      "them in parallel (composes with --portfolio). --preprocess 0|1 runs\n"
-      "SatELite-style CNF simplification (variable elimination + "
-      "subsumption) before\nsolving. --incremental 0|1 keeps one persistent "
-      "solver per attack/ATPG run:\nper-query constraints are "
-      "constant-folded (attack) or activation-guarded\n(ATPG) so learnt "
-      "clauses carry across queries. Results are deterministic for\na given "
+      "instances per SAT query in deterministic\nlockstep epochs. --preprocess "
+      "0|1 runs SatELite-style CNF simplification (variable\nelimination + "
+      "subsumption) before solving. --incremental 0|1 keeps one persistent\n"
+      "solver per attack/ATPG run: per-query constraints are\n"
+      "constant-folded (attack) or activation-guarded (ATPG) so learnt "
+      "clauses carry\nacross queries. Results are deterministic for a given "
       "seed at any thread count.\n"
       "\n"
       "Oracle resilience (attack): --oracle-noise P / --oracle-fail-rate P "
@@ -1153,37 +1176,68 @@ void usage() {
       "result.");
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* options;  // as Args::validate reads them
+};
+
+const Command kCommands[] = {
+    {"gen", cmd_gen,
+     "profile scale% seed# inputs# outputs# gates# depth# name o"},
+    {"stats", cmd_stats, ""},
+    {"lock", cmd_lock,
+     "scheme key-bits# seed# ctrl# hd-h# keys-per-gate# o key-out verilog"},
+    {"resynth", cmd_resynth, "o"},
+    {"hd", cmd_hd, "key words# keys# seed#"},
+    {"atpg", cmd_atpg,
+     "random-words# budget# seed# portfolio# preprocess# incremental# "
+     "deadline-ms#"},
+    {"attack", cmd_attack,
+     "key kind oracle pis# seed# max-iter# budget# portfolio# preprocess# "
+     "incremental# deadline-ms# oracle-noise% oracle-fail-rate% fault-seed# "
+     "oracle-retries# oracle-votes# quarantine# oracle-batch# dip-batch# "
+     "connect oracle-cmd io-timeout-ms# connect-timeout-ms# checkpoint "
+     "checkpoint-every# reconnect# reconnect-attempts# reconnect-backoff-ms# "
+     "reconnect-backoff-max-ms# reconnect-state-every# "
+     "chaos-disconnect-rate% chaos-corrupt-rate% chaos-truncate-rate% "
+     "chaos-delay-rate% chaos-delay-us# chaos-seed#"},
+    {"oracle-serve", cmd_oracle_serve,
+     "key port# stdio once oracle pis# seed# oracle-noise% oracle-fail-rate% "
+     "oracle-stick-rate% oracle-max-queries# fault-seed# latency-us# "
+     "jitter-us# io-timeout-ms#"},
+    {"attack-serve", cmd_attack_serve,
+     "jobs# kind scheme gates# inputs# outputs# depth# key-bits# seed# "
+     "max-iter# oracle-noise% oracle-fail-rate% fault-seed# oracle-retries# "
+     "oracle-votes# quarantine# latency-us# oracle-batch# dip-batch# "
+     "result-cache# shared-circuit# checkpoint-dir checkpoint-every# json "
+     "job-retries# job-retry-backoff-ms#"},
+    {"protect", cmd_protect, "key pis# variant response-cycles# seed#"},
+    {"solve", cmd_solve, "budget# portfolio# preprocess# deadline-ms#"},
+    {"export", cmd_export, "o"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const Command* cmd = nullptr;
+  for (const Command& c : kCommands)
+    if (argc >= 2 && std::strcmp(argv[1], c.name) == 0) cmd = &c;
+  if (cmd == nullptr) {
     usage();
     return 1;
   }
-  const std::string cmd = argv[1];
   const Args args = Args::parse(argc, argv, 2);
+  args.validate(cmd->name, cmd->options);
   try {
     // Global: --threads=N caps the work-stealing pool (0 = auto, which is
     // also the ORAP_THREADS env var's job); results are thread-count
     // independent by construction.
     if (args.has("threads")) set_parallel_threads(args.get_num("threads", 0));
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "stats") return cmd_stats(args);
-    if (cmd == "lock") return cmd_lock(args);
-    if (cmd == "resynth") return cmd_resynth(args);
-    if (cmd == "hd") return cmd_hd(args);
-    if (cmd == "atpg") return cmd_atpg(args);
-    if (cmd == "attack") return cmd_attack(args);
-    if (cmd == "oracle-serve") return cmd_oracle_serve(args);
-    if (cmd == "attack-serve") return cmd_attack_serve(args);
-    if (cmd == "protect") return cmd_protect(args);
-    if (cmd == "solve") return cmd_solve(args);
-    if (cmd == "export") return cmd_export(args);
+    return cmd->run(args);
   } catch (const CheckError& e) {
     die(e.what());
   } catch (const std::exception& e) {
     die(e.what());
   }
-  usage();
-  return 1;
 }
