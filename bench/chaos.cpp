@@ -207,19 +207,6 @@ CellResult run_cell(const LockedCircuit& lc, const Cell& cell,
   return out;
 }
 
-const char* status_slug(SatAttackResult::Status s) {
-  switch (s) {
-    case SatAttackResult::Status::kKeyFound: return "key_found";
-    case SatAttackResult::Status::kIterationLimit: return "iteration_limit";
-    case SatAttackResult::Status::kSolverBudget: return "solver_budget";
-    case SatAttackResult::Status::kInconsistentOracle:
-      return "inconsistent_oracle";
-    case SatAttackResult::Status::kDegraded: return "degraded";
-    case SatAttackResult::Status::kOracleError: return "oracle_error";
-  }
-  return "?";
-}
-
 bool same_result(const SatAttackResult& a, const SatAttackResult& b) {
   return a.status == b.status && a.key.words() == b.key.words() &&
          a.iterations == b.iterations &&
@@ -304,14 +291,14 @@ int main(int argc, char** argv) {
     char wall[24];
     std::snprintf(wall, sizeof wall, "%.1f", r.wall_ms);
     t.add_row({cell.tag, survived ? "yes" : "no",
-               r.connected ? status_slug(r.result.status) : "no_connect",
+               r.connected ? to_string(r.result.status) : "no_connect",
                identical ? "yes" : (survived ? "NO" : "-"),
                std::to_string(r.recoveries), std::to_string(r.retransmits),
                std::to_string(r.state_syncs), wall});
 
     const std::string tag = cell.tag;
     report.add_string(tag + "_status",
-                      r.connected ? status_slug(r.result.status)
+                      r.connected ? to_string(r.result.status)
                                   : "no_connect");
     report.add(tag + "_survived", survived ? 1 : 0, 0);
     report.add(tag + "_byte_identical", identical ? 1 : 0, 0);

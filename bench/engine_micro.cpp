@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "aig/rewrite.h"
+#include "attacks/oracle.h"
 #include "atpg/fault_sim.h"
 #include "chip/chip.h"
 #include "gen/circuit_gen.h"
@@ -261,6 +263,32 @@ void BM_ScanOracleQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScanOracleQuery)->Arg(1000)->Arg(5000);
+
+void BM_GoldenOracleBatch(benchmark::State& state) {
+  // The served oracle's batch path: one GoldenOracle::query_batch over a
+  // 2000-gate weighted-locked circuit (32 in / 32 out), the shape of the
+  // oracle_service workload. items_per_second is queries/s.
+  GenSpec spec;
+  spec.num_inputs = 32;
+  spec.num_outputs = 32;
+  spec.num_gates = 2000;
+  spec.depth = 16;
+  spec.seed = 11;
+  const LockedCircuit lc = lock_weighted(generate_circuit(spec), 32, 3, 12);
+  GoldenOracle oracle(lc);
+  Rng rng(13);
+  std::vector<BitVec> xs;
+  for (std::int64_t i = 0; i < state.range(0); ++i)
+    xs.push_back(BitVec::random(lc.num_data_inputs, rng));
+  std::vector<OracleResult> rs;
+  for (auto _ : state) {
+    oracle.query_batch(xs, &rs);
+    benchmark::DoNotOptimize(rs.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_GoldenOracleBatch)->Arg(1)->Arg(64)->Arg(1024);
 
 void BM_WeightedLockInsertion(benchmark::State& state) {
   const Netlist n = bench_circuit(static_cast<std::size_t>(state.range(0)));

@@ -145,19 +145,6 @@ AttackRun run_served_attack(const LockedCircuit& lc, std::uint64_t lat_us,
   return run;
 }
 
-const char* status_slug(SatAttackResult::Status s) {
-  switch (s) {
-    case SatAttackResult::Status::kKeyFound: return "key_found";
-    case SatAttackResult::Status::kIterationLimit: return "iteration_limit";
-    case SatAttackResult::Status::kSolverBudget: return "solver_budget";
-    case SatAttackResult::Status::kInconsistentOracle:
-      return "inconsistent_oracle";
-    case SatAttackResult::Status::kDegraded: return "degraded";
-    case SatAttackResult::Status::kOracleError: return "oracle_error";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -311,7 +298,7 @@ int main(int argc, char** argv) {
         const std::string tag = "atk_lat" + std::to_string(lat) + "_v" +
                                 std::to_string(votes) + "_d" +
                                 std::to_string(dip);
-        report.add_string(tag + "_status", status_slug(batched.result.status));
+        report.add_string(tag + "_status", to_string(batched.result.status));
         report.add(tag + "_serial_rt", serial.result.oracle_round_trips);
         report.add(tag + "_batch_rt", batched.result.oracle_round_trips);
         report.add(tag + "_serial_queries", serial.result.oracle_queries);

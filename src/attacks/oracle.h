@@ -6,9 +6,14 @@
 //  * GoldenOracle — a conventional chip: the key register holds the
 //    correct key during scan, so scan in/capture/scan out yields golden
 //    responses. (This is the attack surface the paper's Sec. I describes.)
+//    Its answers are state-independent, so a batch is evaluated
+//    bit-parallel (Simulator::run_batch, 64 queries per lane word under the
+//    broadcast correct key), bit-identical to the serial loop.
 //  * ChipScanOracle — an OraP chip driven through its scan interface; the
 //    pulse generators clear the key register on scan entry, so responses
-//    correspond to the locked circuit.
+//    correspond to the locked circuit. It keeps the serial batch default:
+//    every query pulses scan-enable and changes the chip's key-register
+//    state, so its queries are not independent of one another.
 //
 // Real oracles are also *unreliable*: tester links drop (transients),
 // sessions stall (timeouts), access runs out (query caps), and fault
@@ -19,6 +24,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -28,6 +35,7 @@
 #include "util/bitvec.h"
 #include "util/bytes.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace orap {
 
@@ -241,6 +249,8 @@ class OracleDecorator : public Oracle {
 };
 
 /// Conventional (unprotected) chip: scan access yields correct responses.
+/// Batches of up to 64 take one pass of the single-word simulator that also
+/// serves query(); larger ones a kBlockWords-wide one built on first use.
 class GoldenOracle final : public Oracle {
  public:
   explicit GoldenOracle(const LockedCircuit& lc) : lc_(lc), sim_(lc.netlist) {}
@@ -255,8 +265,19 @@ class GoldenOracle final : public Oracle {
     return sim_.run_single(lc_.assemble_input(data, lc_.correct_key));
   }
 
+  void do_query_batch(const std::vector<BitVec>& xs,
+                      std::vector<OracleResult>* out) override {
+    if (xs.size() > 64 && !wide_)
+      wide_ = std::make_unique<Simulator>(lc_.netlist, simd::kBlockWords);
+    std::vector<BitVec> ys;
+    (xs.size() > 64 ? *wide_ : sim_).run_batch(xs, lc_.correct_key, &ys);
+    out->assign(std::make_move_iterator(ys.begin()),
+                std::make_move_iterator(ys.end()));
+  }
+
   const LockedCircuit& lc_;
   Simulator sim_;
+  std::unique_ptr<Simulator> wide_;
 };
 
 /// OraP chip behind its real scan protocol. Data packs [pi | state] and

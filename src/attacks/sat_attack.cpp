@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <bit>
 #include <memory>
 #include <span>
 
@@ -523,68 +522,6 @@ enum class ExtractOutcome {
   kResume,  // corrupted pairs evicted: re-enter the DIP loop
 };
 
-// --- wide candidate-key simulation -----------------------------------------
-// The verification paths (verify_key_against_oracle, AppSAT's random-check
-// rounds, the degraded-key error measurement) all simulate the locked
-// circuit under one fixed key over many input samples. Packing
-// 64 * simd::kBlockWords samples per simulator pass replaces those
-// per-sample run_single calls with a handful of block evaluations over the
-// same netlist walk. Bit-exact with the per-sample path: each sample owns
-// one lane and the per-lane extraction reads exactly the bits run_single
-// would produce.
-
-/// Simulates `lc` under `key` for xs[q0..q1) in one wide pass (q1 - q0 must
-/// fit in one block, i.e. <= 64 * sim.block_words()); appends one response
-/// per sample to `out`, in order.
-void simulate_key_block(const LockedCircuit& lc, Simulator& sim,
-                        std::span<const BitVec> xs, const BitVec& key,
-                        std::size_t q0, std::size_t q1,
-                        std::vector<BitVec>* out) {
-  const std::size_t w = sim.block_words();
-  const std::size_t nd = lc.num_data_inputs;
-  std::vector<std::uint64_t> block(w);
-  for (std::size_t i = 0; i < nd; ++i) {
-    for (std::size_t j = 0; j < w; ++j) {
-      std::uint64_t word = 0;
-      const std::size_t base = q0 + j * 64;
-      const std::size_t nb =
-          base < q1 ? std::min<std::size_t>(64, q1 - base) : 0;
-      for (std::size_t b = 0; b < nb; ++b)
-        if (xs[base + b].get(i)) word |= std::uint64_t{1} << b;
-      block[j] = word;
-    }
-    sim.set_input_block(i, block);
-  }
-  for (std::size_t i = 0; i < lc.num_key_inputs; ++i) {
-    std::fill(block.begin(), block.end(),
-              key.get(i) ? ~std::uint64_t{0} : std::uint64_t{0});
-    sim.set_input_block(nd + i, block);
-  }
-  sim.run();
-  const std::size_t nout = lc.netlist.num_outputs();
-  for (std::size_t q = q0; q < q1; ++q) {
-    const std::size_t lane = q - q0;
-    BitVec y(nout);
-    for (std::size_t o = 0; o < nout; ++o)
-      y.set(o, (sim.output_block(o)[lane / 64] >> (lane % 64)) & 1);
-    out->push_back(std::move(y));
-  }
-}
-
-/// Candidate-key responses for every input in `xs`.
-std::vector<BitVec> simulate_key_batch(const LockedCircuit& lc,
-                                       std::span<const BitVec> xs,
-                                       const BitVec& key) {
-  Simulator sim(lc.netlist, simd::kBlockWords);
-  const std::size_t lanes = 64 * sim.block_words();
-  std::vector<BitVec> out;
-  out.reserve(xs.size());
-  for (std::size_t q0 = 0; q0 < xs.size(); q0 += lanes)
-    simulate_key_block(lc, sim, xs, key, q0,
-                       std::min(xs.size(), q0 + lanes), &out);
-  return out;
-}
-
 /// Measures the candidate key's response error against the (resilient)
 /// oracle on fresh random samples and fills result with kDegraded.
 void finish_degraded(AttackContext& ctx, const BitVec& key,
@@ -598,7 +535,8 @@ void finish_degraded(AttackContext& ctx, const BitVec& key,
   xrs.reserve(ctx.res.degraded_samples);
   for (std::size_t q = 0; q < ctx.res.degraded_samples; ++q)
     xrs.push_back(BitVec::random(ctx.nd(), rng));
-  const std::vector<BitVec> ycs = simulate_key_batch(ctx.lc, xrs, key);
+  std::vector<BitVec> ycs;
+  Simulator(ctx.lc.netlist, simd::kBlockWords).run_batch(xrs, key, &ycs);
   std::size_t mismatched_bits = 0, total_bits = 0;
   if (ctx.batch) {
     // Batched measurement: chunked query_batch flushes with the deadline
@@ -971,8 +909,9 @@ SatAttackResult appsat_attack(const LockedCircuit& locked, Oracle& oracle,
       xrs.reserve(opts.random_queries);
       for (std::size_t q = 0; q < opts.random_queries; ++q)
         xrs.push_back(BitVec::random(ctx.nd(), rng));
-      const std::vector<BitVec> ycs =
-          simulate_key_batch(locked, xrs, candidate);
+      std::vector<BitVec> ycs;
+      Simulator(locked.netlist, simd::kBlockWords)
+          .run_batch(xrs, candidate, &ycs);
       std::size_t mismatches = 0;
       if (ctx.batch) {
         // The whole sampling round — every sample with every vote replica
@@ -1179,11 +1118,8 @@ std::size_t verify_key_against_oracle(const LockedCircuit& locked,
   }
 
   // Candidate simulation: 64 * kBlockWords samples per wide pass, wide
-  // passes sharded across the pool. A sample mismatches when any output
-  // bit differs, so per pass the expected responses are packed into lane
-  // words, XORed against the simulated output blocks, and the surviving
-  // lane mask popcounted — the count is identical to comparing run_single
-  // sample by sample.
+  // passes sharded across the pool, each sample compared whole against
+  // its oracle response.
   const std::size_t lanes = 64 * simd::kBlockWords;
   const std::size_t num_blocks = (xs.size() + lanes - 1) / lanes;
   std::vector<std::unique_ptr<Simulator>> sims(parallel_threads());
@@ -1194,50 +1130,13 @@ std::size_t verify_key_against_oracle(const LockedCircuit& locked,
         if (!sims[slot])
           sims[slot] =
               std::make_unique<Simulator>(locked.netlist, simd::kBlockWords);
-        Simulator& sim = *sims[slot];
-        const std::size_t w = sim.block_words();
-        const std::size_t nd = locked.num_data_inputs;
-        std::vector<std::uint64_t> block(w);
+        const std::size_t q0 = bb * lanes;
+        const std::size_t q1 = std::min(xs.size(), be * lanes);
+        std::vector<BitVec> ycs;
+        sims[slot]->run_batch(std::span(xs).subspan(q0, q1 - q0), key, &ycs);
         std::size_t miss = 0;
-        for (std::size_t blk = bb; blk < be; ++blk) {
-          const std::size_t q0 = blk * lanes;
-          const std::size_t q1 = std::min(xs.size(), q0 + lanes);
-          for (std::size_t i = 0; i < nd; ++i) {
-            for (std::size_t j = 0; j < w; ++j) {
-              std::uint64_t word = 0;
-              const std::size_t base = q0 + j * 64;
-              const std::size_t nb =
-                  base < q1 ? std::min<std::size_t>(64, q1 - base) : 0;
-              for (std::size_t b = 0; b < nb; ++b)
-                if (xs[base + b].get(i)) word |= std::uint64_t{1} << b;
-              block[j] = word;
-            }
-            sim.set_input_block(i, block);
-          }
-          for (std::size_t i = 0; i < locked.num_key_inputs; ++i) {
-            std::fill(block.begin(), block.end(),
-                      key.get(i) ? ~std::uint64_t{0} : std::uint64_t{0});
-            sim.set_input_block(nd + i, block);
-          }
-          sim.run();
-          for (std::size_t j = 0; j < w; ++j) {
-            const std::size_t base = q0 + j * 64;
-            const std::size_t nb =
-                base < q1 ? std::min<std::size_t>(64, q1 - base) : 0;
-            if (nb == 0) break;
-            std::uint64_t diff = 0;
-            for (std::size_t o = 0; o < locked.netlist.num_outputs(); ++o) {
-              std::uint64_t exp = 0;
-              for (std::size_t b = 0; b < nb; ++b)
-                if (ys[base + b].get(o)) exp |= std::uint64_t{1} << b;
-              diff |= sim.output_block(o)[j] ^ exp;
-            }
-            const std::uint64_t valid =
-                nb == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << nb) - 1;
-            miss += static_cast<std::size_t>(
-                std::popcount(diff & valid));
-          }
-        }
+        for (std::size_t q = q0; q < q1; ++q)
+          if (ycs[q - q0] != ys[q]) ++miss;
         return miss;
       },
       [](std::size_t acc, std::size_t part) { return acc + part; });

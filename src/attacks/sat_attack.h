@@ -155,6 +155,20 @@ struct SatAttackResult {
   std::size_t cache_misses = 0;
 };
 
+/// Snake-case status name, as the CLI and the bench records print it.
+inline const char* to_string(SatAttackResult::Status s) {
+  switch (s) {
+    case SatAttackResult::Status::kKeyFound: return "key_found";
+    case SatAttackResult::Status::kIterationLimit: return "iteration_limit";
+    case SatAttackResult::Status::kSolverBudget: return "solver_budget";
+    case SatAttackResult::Status::kInconsistentOracle:
+      return "inconsistent_oracle";
+    case SatAttackResult::Status::kDegraded: return "degraded";
+    case SatAttackResult::Status::kOracleError: return "oracle_error";
+  }
+  return "?";
+}
+
 SatAttackResult sat_attack(const LockedCircuit& locked, Oracle& oracle,
                            const SatAttackOptions& opts = {});
 

@@ -35,11 +35,11 @@ HillClimbResult hill_climb_attack(const LockedCircuit& locked, Oracle& oracle,
   // until several bits are fixed, and the pattern count plateaus while
   // the bit distance still decreases monotonically per corrected bit.
   auto fitness = [&](const BitVec& key) {
+    std::vector<BitVec> outs;
+    sim.run_batch(probes, key, &outs);
     std::size_t distance = 0;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      const BitVec out = sim.run_single(locked.assemble_input(probes[i], key));
-      distance += (out ^ responses[i]).count();
-    }
+    for (std::size_t i = 0; i < probes.size(); ++i)
+      distance += (outs[i] ^ responses[i]).count();
     return distance;
   };
 

@@ -1,5 +1,7 @@
 #include "netlist/simulator.h"
 
+#include <algorithm>
+
 #include "util/simd.h"
 
 namespace orap {
@@ -149,6 +151,50 @@ BitVec Simulator::run_single(const BitVec& pattern) {
   for (std::size_t o = 0; o < n_.num_outputs(); ++o)
     out.set(o, (output_word(o) & 1ULL) != 0);
   return out;
+}
+
+void Simulator::run_batch(std::span<const BitVec> xs, const BitVec& tail,
+                          std::vector<BitVec>* out) {
+  ORAP_CHECK(tail.size() <= n_.num_inputs());
+  const std::size_t nd = n_.num_inputs() - tail.size();
+  const std::size_t nout = n_.num_outputs();
+  for (const BitVec& x : xs) ORAP_CHECK(x.size() == nd);
+  for (std::size_t i = 0; i < tail.size(); ++i)
+    std::fill_n(&values_[n_.inputs()[nd + i] * w_], w_,
+                tail.get(i) ? ~0ULL : 0ULL);
+  // Lane word j of a pass carries patterns q0 + 64j + b. One transpose
+  // turns a 64-signal slice k (inputs or outputs 64k..64k+63) of those
+  // patterns into per-signal lane words, or back. Rows past the last
+  // pattern or signal are zero, which also keeps the outputs trimmed.
+  std::uint64_t m[64];
+  for (std::size_t q0 = 0; q0 < xs.size(); q0 += 64 * w_) {
+    const std::size_t n = std::min(xs.size() - q0, 64 * w_);
+    for (std::size_t j = 0; 64 * j < n; ++j) {
+      const std::size_t nb = std::min<std::size_t>(64, n - 64 * j);
+      for (std::size_t k = 0; 64 * k < nd; ++k) {
+        for (std::size_t b = 0; b < 64; ++b)
+          m[b] = b < nb ? xs[q0 + 64 * j + b].words()[k] : 0;
+        simd::transpose64(m);
+        for (std::size_t i = 0; i < 64 && 64 * k + i < nd; ++i)
+          values_[n_.inputs()[64 * k + i] * w_ + j] = m[i];
+      }
+    }
+    run();
+    const std::size_t first = out->size();
+    out->resize(first + n, BitVec(nout));
+    for (std::size_t j = 0; 64 * j < n; ++j) {
+      const std::size_t nb = std::min<std::size_t>(64, n - 64 * j);
+      for (std::size_t k = 0; 64 * k < nout; ++k) {
+        for (std::size_t o = 0; o < 64; ++o)
+          m[o] = 64 * k + o < nout
+                     ? values_[n_.outputs()[64 * k + o].gate * w_ + j]
+                     : 0;
+        simd::transpose64(m);
+        for (std::size_t b = 0; b < nb; ++b)
+          (*out)[first + 64 * j + b].words()[k] = m[b];
+      }
+    }
+  }
 }
 
 }  // namespace orap

@@ -84,6 +84,15 @@ class Simulator {
   /// returns one bit per output.
   BitVec run_single(const BitVec& pattern);
 
+  /// Keyed batch: pattern q drives the first xs[q].size() inputs and `tail`
+  /// drives the rest, the same in every lane — a locked circuit's data
+  /// patterns under one fixed key. Packs 64 patterns per lane word with
+  /// simd::transpose64, runs one pass per 64 * block_words() patterns, and
+  /// appends one output vector per pattern to `out`, in order. Bit-exact
+  /// with run_single on each assembled pattern.
+  void run_batch(std::span<const BitVec> xs, const BitVec& tail,
+                 std::vector<BitVec>* out);
+
   /// Raw value buffer: gate g's block occupies [g * block_words(),
   /// (g+1) * block_words()).
   std::span<const std::uint64_t> values() const { return values_; }

@@ -75,10 +75,11 @@ bool OracleServer::serve(Transport& t) {
           if (us > 0)
             std::this_thread::sleep_for(std::chrono::microseconds(us));
         }
+        // One frame, one query_batch: each element is charged as the
+        // matching serial query()/requery() would be.
         std::vector<OracleResult> rs;
-        rs.reserve(xs.size());
-        for (const BitVec& x : xs)
-          rs.push_back(requery ? oracle_.requery(x) : oracle_.query(x));
+        const std::vector<std::uint8_t> logical(xs.size(), requery ? 0 : 1);
+        oracle_.query_batch(xs, &rs, &logical);
         queries_ += xs.size();
         // want_state: answers + post-batch stack state in ONE reply, so a
         // reconnecting client's recovery cache can never be stale relative

@@ -9,6 +9,12 @@
 // seeded jitter) is charged once per kQueryBatch frame, which is what
 // makes the batching-vs-latency tradeoff real: B batched queries pay one
 // round trip, B unbatched queries pay B.
+//
+// A frame is answered with ONE Oracle::query_batch (its elements charged
+// as fresh queries, or as retries for a requery frame), so a batch-aware
+// oracle such as GoldenOracle evaluates the whole frame at once. The
+// server-side stack's round_trip_count therefore counts frames, while its
+// query_count/retry_count still count elements.
 
 #include <atomic>
 #include <cstdint>

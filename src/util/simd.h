@@ -91,4 +91,19 @@ inline bool eq(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
 /// is cross-checked against in tests regardless of the dispatch decision.
 const Kernels& scalar_kernels();
 
+/// In-place transpose of a 64x64 bit matrix: on return, bit j of a[i] is
+/// what bit i of a[j] was. Six rounds of block swaps (32x32 down to 1x1
+/// blocks), so patterns and lane words convert in O(64 log 64) word ops
+/// instead of 4096 single-bit moves.
+inline void transpose64(std::uint64_t* a) {
+  std::uint64_t m = 0x00000000ffffffffULL;
+  for (std::size_t j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (std::size_t k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
 }  // namespace orap::simd

@@ -276,6 +276,46 @@ TEST(HillClimb, AgainstOrapLearnsOnlyLockedBehaviour) {
   EXPECT_FALSE(key_equivalent(chip.locked_circuit(), r.key));
 }
 
+TEST(HillClimb, TrajectoryPinnedAcrossFitnessEngine) {
+  // Keys, fitness and query counts recorded with the per-probe run_single
+  // fitness; the keyed batch pass must reproduce them exactly. The
+  // weighted case ends above zero after three restarts, so every fitness
+  // comparison along the way is pinned.
+  {
+    const LockedCircuit lc = lock_random_xor(small_circuit(21), 20, 22);
+    GoldenOracle oracle(lc);
+    HillClimbOptions opts;
+    opts.samples = 96;
+    opts.seed = 23;
+    const HillClimbResult r = hill_climb_attack(lc, oracle, opts);
+    EXPECT_EQ(r.mismatches, 0u);
+    EXPECT_EQ(r.oracle_queries, 96u);
+    EXPECT_EQ(r.key.words(), std::vector<std::uint64_t>{0x3e912ULL});
+  }
+  {
+    LockedCircuit lc = lock_random_xor(small_circuit(25), 16, 26);
+    OrapChip chip(std::move(lc), 8, {}, 27);
+    ChipScanOracle oracle(chip);
+    const HillClimbResult r =
+        hill_climb_attack(chip.locked_circuit(), oracle, {});
+    EXPECT_EQ(r.mismatches, 0u);
+    EXPECT_EQ(r.oracle_queries, 64u);
+    EXPECT_EQ(r.key.words(), std::vector<std::uint64_t>{0x0ULL});
+  }
+  {
+    const LockedCircuit lc = lock_weighted(small_circuit(29), 24, 3, 30);
+    GoldenOracle oracle(lc);
+    HillClimbOptions opts;
+    opts.samples = 200;
+    opts.seed = 31;
+    opts.max_restarts = 3;
+    const HillClimbResult r = hill_climb_attack(lc, oracle, opts);
+    EXPECT_EQ(r.mismatches, 1107u);
+    EXPECT_EQ(r.oracle_queries, 200u);
+    EXPECT_EQ(r.key.words(), std::vector<std::uint64_t>{0x3e55fcULL});
+  }
+}
+
 TEST(Sensitization, ResolvesBitsOfRandomXor) {
   // Sparse XOR locking leaves isolated key gates whose sensitized paths
   // avoid all other key gates; those bits (and only those) resolve, and

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "attacks/faulty_oracle.h"
@@ -18,10 +19,12 @@
 #include "attacks/sat_attack.h"
 #include "gen/circuit_gen.h"
 #include "locking/locking.h"
+#include "netlist/simulator.h"
 #include "serve/job_server.h"
 #include "serve/result_cache.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace orap {
 namespace {
@@ -152,6 +155,57 @@ TEST(Batch, ByteIdenticalToSerialAcrossDecoratorGrid) {
       for (auto& r : rs) pieces.push_back(std::move(r));
     }
     expect_same_responses(pieces, want, mask);
+  }
+}
+
+TEST(Batch, GoldenBatchMatchesRunSingleAcrossLaneBoundaries) {
+  // GoldenOracle answers a batch bit-parallel (transposed 64-lane words,
+  // single-word up to 64 queries, wide beyond). Every batch size around a
+  // word or block boundary, on data/output widths below, at and past one
+  // 64-bit slice, must equal run_single element by element — and so must
+  // Simulator::run_batch at either width, appending after existing output.
+  const std::size_t sizes[] = {1, 2, 63, 64, 65, 255, 256, 257, 1024, 1025};
+  const std::pair<std::size_t, std::size_t> widths[] = {
+      {20, 16}, {64, 64}, {70, 70}, {130, 130}, {130, 20}, {20, 130}};
+  for (const auto& [nin, nout] : widths) {
+    GenSpec spec;
+    spec.num_inputs = nin;
+    spec.num_outputs = nout;
+    spec.num_gates = 400;
+    spec.depth = 8;
+    spec.seed = 70 + nin + nout;
+    const LockedCircuit lc = lock_random_xor(generate_circuit(spec), 8, 71);
+    ASSERT_EQ(lc.num_data_inputs, nin);
+    ASSERT_EQ(lc.netlist.num_outputs(), nout);
+    Simulator reference(lc.netlist);
+    Simulator narrow(lc.netlist);
+    Simulator wide(lc.netlist, simd::kBlockWords);
+    GoldenOracle oracle(lc);
+    Rng rng(72);
+    for (const std::size_t size : sizes) {
+      std::vector<BitVec> xs;
+      for (std::size_t i = 0; i < size; ++i)
+        xs.push_back(BitVec::random(nin, rng));
+      std::vector<OracleResult> got;
+      oracle.query_batch(xs, &got);
+      ASSERT_EQ(got.size(), size);
+      std::vector<BitVec> from_narrow(1), from_wide;
+      narrow.run_batch(xs, lc.correct_key, &from_narrow);
+      wide.run_batch(xs, lc.correct_key, &from_wide);
+      ASSERT_EQ(from_narrow.size(), size + 1);
+      ASSERT_EQ(from_wide.size(), size);
+      for (std::size_t i = 0; i < size; ++i) {
+        const BitVec want =
+            reference.run_single(lc.assemble_input(xs[i], lc.correct_key));
+        ASSERT_TRUE(got[i].ok());
+        ASSERT_EQ(got[i].response(), want)
+            << nin << "x" << nout << " batch " << size << " element " << i;
+        ASSERT_EQ(from_narrow[i + 1], want)
+            << nin << "x" << nout << " batch " << size << " element " << i;
+        ASSERT_EQ(from_wide[i], want)
+            << nin << "x" << nout << " batch " << size << " element " << i;
+      }
+    }
   }
 }
 

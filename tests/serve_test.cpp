@@ -510,6 +510,107 @@ TEST(Serve, ClientSurfacesDeadTransportAsExhausted) {
   EXPECT_TRUE(remote->transport_failed());
 }
 
+/// Transport that reads request frames from one buffer and writes replies
+/// to another, so a whole exchange can be scripted up front and served on
+/// the test thread.
+class SplitTransport final : public serve::Transport {
+ public:
+  SplitTransport(MemTransport& in, MemTransport& out) : in_(in), out_(out) {}
+  bool read_full(void* buf, std::size_t n) override {
+    return in_.read_full(buf, n);
+  }
+  bool write_full(const void* buf, std::size_t n) override {
+    return out_.write_full(buf, n);
+  }
+
+ private:
+  MemTransport& in_;
+  MemTransport& out_;
+};
+
+/// Noise + stuck + intermittent + budget over a golden oracle.
+struct FaultStack {
+  explicit FaultStack(const LockedCircuit& lc)
+      : golden(lc),
+        noisy(golden, 0.05, 0x51ULL),
+        stuck(noisy, 0.1, 0x52ULL),
+        flaky(stuck, 0.1, 0x53ULL),
+        budget(flaky, 2600) {}
+  GoldenOracle golden;
+  NoisyOracle noisy;
+  StuckOracle stuck;
+  IntermittentOracle flaky;
+  BudgetedOracle budget;
+};
+
+TEST(Serve, ServedBatchFrameMatchesSerialStack) {
+  // The server answers a frame with one query_batch; that must equal the
+  // serial query()/requery() loop over an identical stack: responses,
+  // error kinds, per-element accounting and the state blob. The third
+  // frame runs the budget out mid-frame.
+  const Netlist n = serve_circuit(55);
+  const LockedCircuit lc = lock_weighted(n, 12, 3, 56);
+  Rng rng(57);
+  const bool requery[] = {false, true, false};
+  std::vector<std::vector<BitVec>> frames(3);
+  for (auto& xs : frames)
+    for (int i = 0; i < 1024; ++i)
+      xs.push_back(BitVec::random(lc.num_data_inputs, rng));
+
+  FaultStack serial(lc);
+  std::vector<std::vector<OracleResult>> want(frames.size());
+  for (std::size_t f = 0; f < frames.size(); ++f)
+    for (const BitVec& x : frames[f])
+      want[f].push_back(requery[f] ? serial.budget.requery(x)
+                                   : serial.budget.query(x));
+  std::vector<std::uint8_t> want_state;
+  serial.budget.save_state(&want_state);
+
+  MemTransport requests, replies;
+  for (std::size_t f = 0; f < frames.size(); ++f)
+    ASSERT_TRUE(serve::write_frame(
+        requests, FrameType::kQueryBatch,
+        serve::encode_query_batch(frames[f], requery[f])));
+  ASSERT_TRUE(serve::write_frame(requests, FrameType::kStateGet, {}));
+  ASSERT_TRUE(serve::write_frame(requests, FrameType::kShutdown, {}));
+  FaultStack served(lc);
+  serve::OracleServer server(served.budget);
+  SplitTransport link(requests, replies);
+  ASSERT_TRUE(server.serve(link));
+
+  Frame reply;
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    ASSERT_TRUE(serve::read_frame(replies, &reply));
+    ASSERT_EQ(reply.type, FrameType::kBatchReply);
+    std::vector<OracleResult> got;
+    ASSERT_TRUE(serve::decode_batch_reply(reply.body, lc.netlist.num_outputs(),
+                                          &got));
+    ASSERT_EQ(got.size(), want[f].size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].ok(), want[f][i].ok()) << "frame " << f << " #" << i;
+      if (got[i].ok())
+        ASSERT_EQ(got[i].response().words(), want[f][i].response().words())
+            << "frame " << f << " #" << i;
+      else
+        ASSERT_EQ(got[i].error().kind, want[f][i].error().kind)
+            << "frame " << f << " #" << i;
+    }
+  }
+  ASSERT_TRUE(serve::read_frame(replies, &reply));
+  ASSERT_EQ(reply.type, FrameType::kStateBlob);
+  EXPECT_EQ(reply.body, want_state);
+
+  EXPECT_EQ(served.budget.query_count(), serial.budget.query_count());
+  EXPECT_EQ(served.budget.retry_count(), serial.budget.retry_count());
+  EXPECT_EQ(served.budget.error_count(), serial.budget.error_count());
+  EXPECT_GT(served.budget.error_count(), 0u);
+  EXPECT_EQ(served.budget.attempts(), 2600u);
+  // One query_batch per frame: the served stack counts frames as round
+  // trips.
+  EXPECT_EQ(served.budget.round_trip_count(), frames.size());
+  EXPECT_EQ(serial.budget.round_trip_count(), 3u * 1024u);
+}
+
 // --- checkpoint/resume ----------------------------------------------------
 
 TEST(Checkpoint, ResumesByteIdenticalAcrossGridAndDipCounts) {

@@ -154,6 +154,38 @@ TEST(Simd, BitVecOpsMatchNaiveAtOddWidths) {
   }
 }
 
+TEST(Simd, Transpose64MatchesNaive) {
+  Rng rng(43);
+  std::vector<std::vector<std::uint64_t>> cases;
+  for (int r = 0; r < 8; ++r) cases.push_back(random_words(64, rng));
+  cases.emplace_back(64, 0);             // all zero
+  cases.emplace_back(64, ~0ULL);         // all one
+  std::vector<std::uint64_t> diag(64), row0(64, 0), col0(64), last(64, 0);
+  for (std::size_t i = 0; i < 64; ++i) {
+    diag[i] = 1ULL << i;
+    col0[i] = 1;
+  }
+  row0[0] = ~0ULL;
+  last[63] = 1ULL << 63;
+  for (const auto& m : {diag, row0, col0, last}) cases.push_back(m);
+  for (std::size_t k = 0; k < 64; ++k) {  // one bit at (k, 63 - k)
+    std::vector<std::uint64_t> m(64, 0);
+    m[k] = 1ULL << (63 - k);
+    cases.push_back(m);
+  }
+
+  for (const auto& in : cases) {
+    std::vector<std::uint64_t> got = in;
+    simd::transpose64(got.data());
+    for (std::size_t i = 0; i < 64; ++i)
+      for (std::size_t j = 0; j < 64; ++j)
+        ASSERT_EQ((got[i] >> j) & 1, (in[j] >> i) & 1)
+            << "bit (" << i << ", " << j << ")";
+    simd::transpose64(got.data());
+    EXPECT_EQ(got, in);  // an involution
+  }
+}
+
 TEST(Simd, WideSimulatorMatchesSingleWordLanes) {
   // A W-word block run must produce, lane by lane, exactly the words a
   // single-word simulator produces for the same input words.

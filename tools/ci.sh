@@ -395,7 +395,7 @@ EOF
 # is caught here, not at release time.
 echo "==== [plain] engine_micro smoke ===="
 "$PREFIX/bench/engine_micro" --benchmark_min_time=0.01 \
-  --benchmark_filter='/(500|1000)(/real_time)?$|^BM_Resynthesize$' >/dev/null
+  --benchmark_filter='/(500|1000)(/real_time)?$|^BM_Resynthesize$|^BM_GoldenOracleBatch/1024$' >/dev/null
 
 if [[ "$RUN_TSAN" == "1" ]]; then
   CTEST_EXTRA=()
@@ -432,8 +432,9 @@ if [[ "$RUN_ASAN" == "1" ]]; then
   # The concurrent resynthesis test joins too: a corrupted rewriter memo
   # showed up as a double free. So do the AIG kernel tests: the
   # open-addressing strash, the flat cut store and the direct-indexed
-  # synthesis table all index raw arrays.
-  [[ -n "$TSAN_FILTER" ]] && CTEST_EXTRA=(-R "$TSAN_FILTER|^Serve\.|^Checkpoint\.|^Batch\.|^SchemeZoo\.|^LockValidation\.|^Sps\.|^Removal\.|^Bypass\.|^Chaos\.|^Reconnect\.|^Resynth\.ConcurrentStatsMatchSerial$|^AigStrash\.|^CutKernel\.|^Resynth\.OutputsPinned$")
+  # synthesis table all index raw arrays. The Simd suite joins for the
+  # 64x64 transpose that packs oracle batches into lane words.
+  [[ -n "$TSAN_FILTER" ]] && CTEST_EXTRA=(-R "$TSAN_FILTER|^Simd\.|^Serve\.|^Checkpoint\.|^Batch\.|^SchemeZoo\.|^LockValidation\.|^Sps\.|^Removal\.|^Bypass\.|^Chaos\.|^Reconnect\.|^Resynth\.ConcurrentStatsMatchSerial$|^AigStrash\.|^CutKernel\.|^Resynth\.OutputsPinned$")
   export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
   run_pass "$PREFIX-asan" "asan" -DORAP_SANITIZE=address
 fi

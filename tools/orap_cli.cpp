@@ -213,19 +213,6 @@ LockedCircuit load_locked(const std::string& path,
   return lc;
 }
 
-const char* attack_status_slug(SatAttackResult::Status s) {
-  switch (s) {
-    case SatAttackResult::Status::kKeyFound: return "key_found";
-    case SatAttackResult::Status::kIterationLimit: return "iteration_limit";
-    case SatAttackResult::Status::kSolverBudget: return "solver_budget";
-    case SatAttackResult::Status::kInconsistentOracle:
-      return "inconsistent_oracle";
-    case SatAttackResult::Status::kDegraded: return "degraded";
-    case SatAttackResult::Status::kOracleError: return "oracle_error";
-  }
-  return "?";
-}
-
 /// Cheap fingerprint of the attack configuration for `attack --checkpoint`:
 /// enough to stop a checkpoint from resuming a visibly different run (the
 /// replay divergence guard backstops the rest).
@@ -894,7 +881,7 @@ int cmd_attack_serve(const Args& a) {
                     r.result.status == SatAttackResult::Status::kDegraded;
     succeeded += ok ? 1 : 0;
     std::printf("%s: %s, %zu DIPs, %zu queries, %zu round trips%s%s\n",
-                r.id.c_str(), attack_status_slug(r.result.status),
+                r.id.c_str(), to_string(r.result.status),
                 r.result.iterations, r.result.oracle_queries,
                 r.result.oracle_round_trips,
                 r.resumed ? ", resumed" : "",
@@ -943,7 +930,7 @@ int cmd_attack_serve(const Args& a) {
       // kill-and-resume; cache hit/miss counts depend on job scheduling
       // and therefore live OUTSIDE this object.
       os << "    \"" << r.id << "\": {\"status\": \""
-         << attack_status_slug(r.result.status)
+         << to_string(r.result.status)
          << "\", \"iterations\": " << r.result.iterations
          << ", \"oracle_queries\": " << r.result.oracle_queries
          << ", \"round_trips\": " << r.result.oracle_round_trips
